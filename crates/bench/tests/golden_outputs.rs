@@ -13,6 +13,11 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Numbers each scratch dir, so tests running the same binary at the
+/// same thread count in parallel never share (and delete) one.
+static SCRATCH_SEQ: AtomicUsize = AtomicUsize::new(0);
 
 /// Repo-root `results/` directory holding the checked-in goldens.
 fn golden_dir() -> PathBuf {
@@ -24,10 +29,11 @@ fn golden_dir() -> PathBuf {
 /// against the checked-in golden of the same name.
 fn assert_golden(bin: &str, args: &[&str], threads: &str, outputs: &[&str]) {
     let scratch = std::env::temp_dir().join(format!(
-        "salamander-golden-{}-t{}-{}",
+        "salamander-golden-{}-t{}-{}-{}",
         Path::new(bin).file_name().unwrap().to_string_lossy(),
         threads,
-        std::process::id()
+        std::process::id(),
+        SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_dir_all(&scratch);
     std::fs::create_dir_all(&scratch).expect("create scratch dir");

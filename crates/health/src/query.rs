@@ -6,12 +6,18 @@
 //! an indexed `.strc` reader: in the indexed form, chunks whose
 //! [`ChunkSummary`] proves they contain nothing the query would print
 //! are *never decoded* — their aggregate counts fold into the totals
-//! straight from the footer index.
+//! straight from the footer index. In the chunks that are decoded, only
+//! records of the query's kinds are built; each run of other records
+//! folds into a gap summary the renderers read like a skipped chunk.
 
 use salamander_obs::cluster::exposure_upper_ticks;
 use salamander_obs::latency::fmt_ns;
 use salamander_obs::rollup::percentile_permille;
-use salamander_obs::strc::{ChunkSummary, EventKind, StrcError, StrcReader};
+// One unit of query input is an `Item`: a single record, or a skipped
+// chunk or gap standing in for its records.
+use salamander_obs::strc::{
+    ChunkPart as Item, ChunkRecords, ChunkSummary, EventKind, StrcError, StrcReader,
+};
 use salamander_obs::{
     ClusterRollup, DecommissionCause, FleetRollup, LatencyRollup, TraceEvent, TraceRecord,
     DIST_NAMES, EXPOSURE_STATS, LAT_CLASSES, LAT_STATS, PERCENTILES,
@@ -58,28 +64,11 @@ pub fn segments(records: &[TraceRecord]) -> Vec<Segment<'_>> {
 /// it cannot contain anything the query would print line-by-line.
 #[derive(Debug, Clone)]
 pub enum TraceChunk {
-    /// Decoded records, in emission order.
-    Records(Vec<TraceRecord>),
+    /// The records of the query's kinds, in emission order, with every
+    /// run of other records folded into a gap summary in place.
+    Records(ChunkRecords),
     /// A chunk skipped via the index: aggregate counts only.
     Skipped(Box<ChunkSummary>),
-}
-
-/// One unit of query input: a single record, or a whole skipped chunk
-/// standing in for its records.
-#[derive(Clone, Copy)]
-enum Item<'a> {
-    Rec(&'a TraceRecord),
-    Sum(&'a ChunkSummary),
-}
-
-impl Item<'_> {
-    /// Records this item stands for.
-    fn records(&self) -> u64 {
-        match self {
-            Item::Rec(_) => 1,
-            Item::Sum(s) => s.records as u64,
-        }
-    }
 }
 
 /// Flatten a chunk list into query items.
@@ -87,16 +76,17 @@ fn chunk_items(chunks: &[TraceChunk]) -> Vec<Item<'_>> {
     let mut out = Vec::new();
     for c in chunks {
         match c {
-            TraceChunk::Records(rs) => out.extend(rs.iter().map(Item::Rec)),
-            TraceChunk::Skipped(s) => out.push(Item::Sum(s.as_ref())),
+            TraceChunk::Records(rs) => out.extend(rs.parts()),
+            TraceChunk::Skipped(s) => out.push(Item::Gap(s.as_ref())),
         }
     }
     out
 }
 
 /// A run segment over items (see [`Segment`] for the record form).
-/// Skipped chunks never hold a `RunMarker` (markers are always in the
-/// decode set), so each lies entirely within one segment.
+/// Every segmenting query's decode mask includes `RunMarker`, so no
+/// skipped chunk or gap holds one: each lies entirely within one
+/// segment.
 struct ItemSegment<'a> {
     label: String,
     items: Vec<Item<'a>>,
@@ -105,7 +95,7 @@ struct ItemSegment<'a> {
 fn item_segments<'a>(items: &[Item<'a>]) -> Vec<ItemSegment<'a>> {
     let mut out: Vec<ItemSegment<'a>> = Vec::new();
     for &it in items {
-        if let Item::Rec(r) = it {
+        if let Item::Record(r) = it {
             if let TraceEvent::RunMarker { label } = &r.event {
                 out.push(ItemSegment {
                     label: label.clone(),
@@ -127,8 +117,10 @@ fn item_segments<'a>(items: &[Item<'a>]) -> Vec<ItemSegment<'a>> {
 
 /// Read an indexed trace, decoding only chunks that may contain a kind
 /// in `decode_mask` — or, with `id_filter = Some((mask, id))`, chunks
-/// that may contain a `mask` kind concerning `id` (bloom test; false
-/// positives decode harmlessly, false negatives cannot happen).
+/// whose id bloom may hold `id` and that may contain a `mask` kind
+/// (false positives decode harmlessly, false negatives cannot happen).
+/// A decoded chunk builds records of `decode_mask` kinds, plus the
+/// `mask` kinds when its bloom may hold `id`; the rest fold into gaps.
 pub fn load_chunks(
     reader: &mut StrcReader,
     decode_mask: u32,
@@ -137,13 +129,15 @@ pub fn load_chunks(
     let n = reader.chunk_count();
     let mut out = Vec::with_capacity(n);
     for i in 0..n {
-        let s = reader.summaries()[i].clone();
-        let wanted = s.may_contain_kinds(decode_mask)
-            || id_filter.is_some_and(|(mask, id)| s.may_contain_kinds(mask) && s.may_concern(id));
-        out.push(if wanted {
-            TraceChunk::Records(reader.read_chunk(i)?)
+        let s = &reader.summaries()[i];
+        let mask = match id_filter {
+            Some((mask, id)) if s.may_concern(id) => decode_mask | mask,
+            _ => decode_mask,
+        };
+        out.push(if s.may_contain_kinds(mask) {
+            TraceChunk::Records(reader.read_chunk_kinds(i, mask)?)
         } else {
-            TraceChunk::Skipped(Box::new(s))
+            TraceChunk::Skipped(Box::new(s.clone()))
         });
     }
     Ok(out)
@@ -205,7 +199,7 @@ fn concerns(event: &TraceEvent, id: u32) -> bool {
 /// losses, and totals for the high-volume events. With `mdisk`, only
 /// lines concerning that minidisk (totals still cover the segment).
 pub fn lifecycle(records: &[TraceRecord], mdisk: Option<u32>) -> String {
-    let items: Vec<Item<'_>> = records.iter().map(Item::Rec).collect();
+    let items: Vec<Item<'_>> = records.iter().map(Item::Record).collect();
     lifecycle_items(&items, mdisk)
 }
 
@@ -242,9 +236,9 @@ fn lifecycle_items(items: &[Item<'_>], mdisk: Option<u32>) -> String {
         let mut rereplicated = 0u64;
         for it in &seg.items {
             let r = match it {
-                Item::Sum(s) => {
-                    // A skipped chunk holds only high-volume events;
-                    // its summary feeds the totals exactly.
+                Item::Gap(s) => {
+                    // A skipped chunk or gap holds only high-volume
+                    // events; its summary feeds the totals exactly.
                     tired += s.count(EventKind::PageTired);
                     retired += s.count(EventKind::PageRetired);
                     gc_passes += s.count(EventKind::GcPass);
@@ -254,7 +248,7 @@ fn lifecycle_items(items: &[Item<'_>], mdisk: Option<u32>) -> String {
                     rereplicated += s.rerep_bytes;
                     continue;
                 }
-                Item::Rec(r) => r,
+                Item::Record(r) => r,
             };
             let day = r.time.day;
             if let Some(id) = mdisk {
@@ -364,7 +358,7 @@ fn cause_text(cause: DecommissionCause) -> &'static str {
 /// replacement regenerations, device death). With `mdisk = None`, the
 /// first decommissioned minidisk in the trace is explained.
 pub fn why(records: &[TraceRecord], mdisk: Option<u32>) -> String {
-    let items: Vec<Item<'_>> = records.iter().map(Item::Rec).collect();
+    let items: Vec<Item<'_>> = records.iter().map(Item::Record).collect();
     why_items(&items, mdisk)
 }
 
@@ -395,7 +389,7 @@ pub fn why_strc(reader: &mut StrcReader, mdisk: Option<u32>) -> Result<String, S
 fn first_decommissioned_id(chunks: &[TraceChunk]) -> Option<u32> {
     for c in chunks {
         if let TraceChunk::Records(rs) = c {
-            for r in rs {
+            for r in rs.iter() {
                 if let TraceEvent::MdiskDecommissioned { id, .. } = &r.event {
                     return Some(*id);
                 }
@@ -412,7 +406,7 @@ fn why_items(items: &[Item<'_>], mdisk: Option<u32>) -> String {
     let mut found: Option<(&ItemSegment<'_>, usize)> = None;
     'outer: for seg in &segs {
         for (i, it) in seg.items.iter().enumerate() {
-            if let Item::Rec(r) = it {
+            if let Item::Record(r) = it {
                 if let TraceEvent::MdiskDecommissioned { id, .. } = &r.event {
                     if mdisk.is_none() || mdisk == Some(*id) {
                         found = Some((seg, i));
@@ -428,7 +422,7 @@ fn why_items(items: &[Item<'_>], mdisk: Option<u32>) -> String {
                 let _ = writeln!(out, "minidisk {id} was never decommissioned in this trace");
                 let mut ids: Vec<u32> = Vec::new();
                 for it in items {
-                    if let Item::Rec(r) = it {
+                    if let Item::Record(r) = it {
                         if let TraceEvent::MdiskDecommissioned { id, .. } = &r.event {
                             if !ids.contains(id) {
                                 ids.push(*id);
@@ -446,7 +440,7 @@ fn why_items(items: &[Item<'_>], mdisk: Option<u32>) -> String {
         }
         return out;
     };
-    let Item::Rec(rec) = seg.items[idx] else {
+    let Item::Record(rec) = seg.items[idx] else {
         unreachable!("found index points at a record");
     };
     let TraceEvent::MdiskDecommissioned {
@@ -482,10 +476,10 @@ fn why_items(items: &[Item<'_>], mdisk: Option<u32>) -> String {
     let mut own_uncorrectable = 0u64;
     for it in &seg.items[..idx] {
         let r = match it {
-            Item::Sum(s) => {
-                // Skipped chunks carry the bulk wear pressure in their
-                // summaries; the target's read path is never in one
-                // (its chunks decode via the id bloom).
+            Item::Gap(s) => {
+                // Skipped chunks and gaps carry the bulk wear pressure
+                // in their summaries; the target's read path is never
+                // in one (its chunks build it via the id bloom).
                 for from in 0u8..5 {
                     for to in 0u8..5 {
                         let n = s.transitions[from as usize * 5 + to as usize] as u64;
@@ -499,7 +493,7 @@ fn why_items(items: &[Item<'_>], mdisk: Option<u32>) -> String {
                 gc_relocated += s.gc_relocated;
                 continue;
             }
-            Item::Rec(r) => r,
+            Item::Record(r) => r,
         };
         match &r.event {
             TraceEvent::PageTired { from, to, .. } => {
@@ -553,7 +547,7 @@ fn why_items(items: &[Item<'_>], mdisk: Option<u32>) -> String {
     out.push_str("  aftermath:\n");
     let mut any = false;
     for it in &seg.items[idx + 1..] {
-        let Item::Rec(r) = it else {
+        let Item::Record(r) = it else {
             // Aftermath events are all in the decode set.
             continue;
         };
@@ -588,7 +582,7 @@ fn why_items(items: &[Item<'_>], mdisk: Option<u32>) -> String {
 /// Fleet rollup: per-device death day and cause plus chunk-durability
 /// totals, as an aligned table or CSV (`device,died_day,cause`).
 pub fn fleet_rollup(records: &[TraceRecord], csv: bool) -> String {
-    let items: Vec<Item<'_>> = records.iter().map(Item::Rec).collect();
+    let items: Vec<Item<'_>> = records.iter().map(Item::Record).collect();
     fleet_rollup_items(&items, csv)
 }
 
@@ -611,12 +605,12 @@ fn fleet_rollup_items(items: &[Item<'_>], csv: bool) -> String {
     let mut rereplicated = 0u64;
     for it in items {
         let r = match it {
-            Item::Sum(s) => {
+            Item::Gap(s) => {
                 lost += s.count(EventKind::ChunkLost);
                 rereplicated += s.rerep_bytes;
                 continue;
             }
-            Item::Rec(r) => r,
+            Item::Record(r) => r,
         };
         match &r.event {
             TraceEvent::FleetDeviceDied { device, cause } => {
@@ -666,11 +660,11 @@ fn seg_rollups<'a>(seg: &ItemSegment<'a>) -> Vec<&'a FleetRollup> {
     seg.items
         .iter()
         .filter_map(|it| match it {
-            Item::Rec(r) => match &r.event {
+            Item::Record(r) => match &r.event {
                 TraceEvent::FleetRollup(ru) => Some(ru),
                 _ => None,
             },
-            Item::Sum(_) => None,
+            Item::Gap(_) => None,
         })
         .collect()
 }
@@ -679,7 +673,7 @@ fn seg_rollups<'a>(seg: &ItemSegment<'a>) -> Vec<&'a FleetRollup> {
 /// recorded [`FleetRollup`] series — population counts, committed
 /// capacity, and the wear/health medians (permille bucket upper edge).
 pub fn fleet_timeline(records: &[TraceRecord]) -> String {
-    let items: Vec<Item<'_>> = records.iter().map(Item::Rec).collect();
+    let items: Vec<Item<'_>> = records.iter().map(Item::Record).collect();
     fleet_timeline_items(&items)
 }
 
@@ -747,7 +741,7 @@ fn fleet_timeline_items(items: &[Item<'_>]) -> String {
 /// p1/p10/p50/p90/p99 bucket upper edges in permille. Unknown metrics
 /// render a help line (the CLI validates before calling).
 pub fn percentiles(records: &[TraceRecord], metric: &str) -> String {
-    let items: Vec<Item<'_>> = records.iter().map(Item::Rec).collect();
+    let items: Vec<Item<'_>> = records.iter().map(Item::Record).collect();
     percentiles_items(&items, metric)
 }
 
@@ -822,11 +816,11 @@ fn seg_latency_rollups<'a>(seg: &ItemSegment<'a>) -> Vec<&'a LatencyRollup> {
     seg.items
         .iter()
         .filter_map(|it| match it {
-            Item::Rec(r) => match &r.event {
+            Item::Record(r) => match &r.event {
                 TraceEvent::LatencyRollup(lr) => Some(lr),
                 _ => None,
             },
-            Item::Sum(_) => None,
+            Item::Gap(_) => None,
         })
         .collect()
 }
@@ -839,7 +833,7 @@ fn seg_latency_rollups<'a>(seg: &ItemSegment<'a>) -> Vec<&'a LatencyRollup> {
 /// With `class`, only that class's table (validated against
 /// [`LAT_CLASSES`]).
 pub fn latency(records: &[TraceRecord], class: Option<&str>) -> String {
-    let items: Vec<Item<'_>> = records.iter().map(Item::Rec).collect();
+    let items: Vec<Item<'_>> = records.iter().map(Item::Record).collect();
     latency_items(&items, class)
 }
 
@@ -959,11 +953,11 @@ fn seg_cluster_rollups<'a>(seg: &ItemSegment<'a>) -> Vec<&'a ClusterRollup> {
     seg.items
         .iter()
         .filter_map(|it| match it {
-            Item::Rec(r) => match &r.event {
+            Item::Record(r) => match &r.event {
                 TraceEvent::ClusterRollup(cr) => Some(cr),
                 _ => None,
             },
-            Item::Sum(_) => None,
+            Item::Gap(_) => None,
         })
         .collect()
 }
@@ -975,7 +969,7 @@ fn seg_cluster_rollups<'a>(seg: &ItemSegment<'a>) -> Vec<&'a ClusterRollup> {
 /// by the [`crate::fleet::cluster_scan`] recovery-storm / data-loss
 /// flags.
 pub fn cluster(records: &[TraceRecord]) -> String {
-    let items: Vec<Item<'_>> = records.iter().map(Item::Rec).collect();
+    let items: Vec<Item<'_>> = records.iter().map(Item::Record).collect();
     cluster_items(&items)
 }
 
@@ -1059,7 +1053,7 @@ fn cluster_items(items: &[Item<'_>]) -> String {
 /// the non-empty log2 buckets, and the data still at risk in open
 /// windows at the end of the run.
 pub fn exposure(records: &[TraceRecord]) -> String {
-    let items: Vec<Item<'_>> = records.iter().map(Item::Rec).collect();
+    let items: Vec<Item<'_>> = records.iter().map(Item::Record).collect();
     exposure_items(&items)
 }
 
@@ -1143,7 +1137,7 @@ pub fn drill_decode_mask() -> u32 {
 /// [`crate::fleet::latency_scan`] over the whole segment. Days without
 /// a rollup list the sampled days instead of guessing.
 pub fn drill(records: &[TraceRecord], day: u32) -> String {
-    let items: Vec<Item<'_>> = records.iter().map(Item::Rec).collect();
+    let items: Vec<Item<'_>> = records.iter().map(Item::Record).collect();
     drill_items(&items, day)
 }
 
@@ -2232,6 +2226,235 @@ mod tests {
                 "drill {day}"
             );
             assert!((r.chunks_decoded as usize) < r.chunk_count());
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Two runs densely mixing all 17 event kinds, so most chunks decode
+    /// under every query mask and fold the other kinds into gaps; the
+    /// second run's `RunMarker` falls in the middle of a chunk.
+    fn mixed_trace() -> Vec<TraceRecord> {
+        use salamander_obs::{FleetRollup, LatencyRollup, DIST_BUCKETS};
+        let mut out = Vec::new();
+        let push = |out: &mut Vec<TraceRecord>, day: u32, event: TraceEvent| {
+            let seq = out.len() as u64;
+            out.push(rec(seq, day, seq, event));
+        };
+        for (run, label) in ["mode=ShrinkS", "mode=RegenS"].into_iter().enumerate() {
+            let label = label.to_string();
+            push(&mut out, 0, TraceEvent::RunMarker { label });
+            for day in 1..=40u32 {
+                let (i, md) = (u64::from(day), day % 7);
+                let level = (day % 4) as u8;
+                push(
+                    &mut out,
+                    day,
+                    TraceEvent::PageTired {
+                        fpage: i,
+                        from: level,
+                        to: level + 1,
+                    },
+                );
+                push(
+                    &mut out,
+                    day,
+                    TraceEvent::GcPass {
+                        block: i,
+                        relocated: i * 3,
+                    },
+                );
+                push(
+                    &mut out,
+                    day,
+                    TraceEvent::ReadRetry {
+                        mdisk: md,
+                        retries: day % 3 + 1,
+                    },
+                );
+                push(
+                    &mut out,
+                    day,
+                    TraceEvent::ScrubRefresh {
+                        fpage: i,
+                        opages: 4,
+                    },
+                );
+                if day % 3 == 0 {
+                    push(&mut out, day, TraceEvent::PageRetired { fpage: i, from: 4 });
+                }
+                if day % 5 == 0 {
+                    push(
+                        &mut out,
+                        day,
+                        TraceEvent::UncorrectableRead {
+                            mdisk: md,
+                            lba: day,
+                        },
+                    );
+                }
+                if day % 4 == 0 {
+                    push(
+                        &mut out,
+                        day,
+                        TraceEvent::ChunkReReplicated {
+                            chunk: i,
+                            bytes: 4096 * i,
+                        },
+                    );
+                }
+                if day % 9 == 0 {
+                    push(&mut out, day, TraceEvent::ChunkLost { chunk: i });
+                }
+                if day % 8 == 0 {
+                    // Minidisks 1..=5 are decommissioned; 0 and 6 never.
+                    push(
+                        &mut out,
+                        day,
+                        TraceEvent::MdiskDecommissioned {
+                            id: md,
+                            valid_lbas: day,
+                            draining: day % 16 == 0,
+                            cause: if run == 0 {
+                                DecommissionCause::GcHeadroom
+                            } else {
+                                DecommissionCause::LevelShortfall
+                            },
+                        },
+                    );
+                    push(&mut out, day, TraceEvent::MdiskPurged { id: md });
+                }
+                if day % 11 == 0 {
+                    push(
+                        &mut out,
+                        day,
+                        TraceEvent::MdiskRegenerated {
+                            id: md + 10,
+                            level: 1,
+                        },
+                    );
+                }
+                if day % 13 == 0 {
+                    push(
+                        &mut out,
+                        day,
+                        TraceEvent::FleetDeviceDied {
+                            device: day,
+                            cause: DeathCause::Wear,
+                        },
+                    );
+                }
+                if day % 10 == 0 {
+                    let mut wear = vec![0u32; DIST_BUCKETS];
+                    wear[(day / 3) as usize % DIST_BUCKETS] = 90;
+                    push(
+                        &mut out,
+                        day,
+                        TraceEvent::FleetRollup(FleetRollup {
+                            day,
+                            alive: 100 - day,
+                            dead_wear: day / 10,
+                            dead_afr: 0,
+                            dying: 1,
+                            capacity_opages: u64::from(100 - day) * 5000,
+                            wear,
+                            pec: vec![1; DIST_BUCKETS],
+                            usable: vec![0; DIST_BUCKETS],
+                            health: vec![2; DIST_BUCKETS],
+                        }),
+                    );
+                    let mut lat = LatencyRollup::empty(day);
+                    lat.classes[0].observe(60_120, 100 + i);
+                    lat.classes[1].observe(605_120, 50);
+                    push(&mut out, day, TraceEvent::LatencyRollup(lat));
+                    let mut cl = ClusterRollup::empty(day);
+                    cl.full = 500 - i;
+                    cl.degraded = i;
+                    cl.repair_bytes = i << 16;
+                    cl.exposure[1] = i;
+                    cl.exposure_windows = i;
+                    push(&mut out, day, TraceEvent::ClusterRollup(cl));
+                }
+            }
+            push(
+                &mut out,
+                41,
+                TraceEvent::DeviceDied {
+                    cause: DeathCause::FullyShrunk,
+                },
+            );
+        }
+        out
+    }
+
+    #[test]
+    fn every_strc_query_matches_the_records_across_gaps() {
+        use salamander_obs::strc::{write_strc, StrcReader};
+        use salamander_obs::LAT_CLASSES;
+        const CHUNK: usize = 16;
+        let records = mixed_trace();
+        let second_marker = records
+            .iter()
+            .rposition(|r| matches!(r.event, TraceEvent::RunMarker { .. }))
+            .unwrap();
+        assert_ne!(second_marker % CHUNK, 0, "marker must sit mid-chunk");
+        let path = tmp("mixed.strc");
+        write_strc(&path, &records, CHUNK).unwrap();
+        let open = || StrcReader::open(&path).unwrap();
+
+        // The lifecycle walk really does fold records into gaps.
+        let chunks = load_chunks(&mut open(), lifecycle_decode_mask(), None).unwrap();
+        assert!(chunks.iter().any(|c| matches!(
+            c,
+            TraceChunk::Records(rs) if rs.parts().any(|p| matches!(p, Item::Gap(_)))
+        )));
+
+        // Minidisk 3 was decommissioned; 6 never was.
+        for mdisk in [None, Some(3), Some(6)] {
+            assert_eq!(
+                lifecycle_strc(&mut open(), mdisk).unwrap(),
+                lifecycle(&records, mdisk),
+                "lifecycle {mdisk:?}"
+            );
+            assert_eq!(
+                why_strc(&mut open(), mdisk).unwrap(),
+                why(&records, mdisk),
+                "why {mdisk:?}"
+            );
+        }
+        assert!(why(&records, Some(3)).contains("why: minidisk 3"));
+        assert!(why(&records, Some(6)).contains("never decommissioned"));
+        for csv in [false, true] {
+            assert_eq!(
+                fleet_rollup_strc(&mut open(), csv).unwrap(),
+                fleet_rollup(&records, csv)
+            );
+        }
+        assert_eq!(
+            fleet_timeline_strc(&mut open()).unwrap(),
+            fleet_timeline(&records)
+        );
+        for metric in DIST_NAMES {
+            assert_eq!(
+                percentiles_strc(&mut open(), metric).unwrap(),
+                percentiles(&records, metric),
+                "percentiles {metric}"
+            );
+        }
+        for class in std::iter::once(None).chain(LAT_CLASSES.iter().copied().map(Some)) {
+            assert_eq!(
+                latency_strc(&mut open(), class).unwrap(),
+                latency(&records, class),
+                "latency {class:?}"
+            );
+        }
+        assert_eq!(cluster_strc(&mut open()).unwrap(), cluster(&records));
+        assert_eq!(exposure_strc(&mut open()).unwrap(), exposure(&records));
+        for day in [10, 20, 40, 99] {
+            assert_eq!(
+                drill_strc(&mut open(), day).unwrap(),
+                drill(&records, day),
+                "drill {day}"
+            );
         }
         let _ = std::fs::remove_file(&path);
     }

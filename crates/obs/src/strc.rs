@@ -11,7 +11,9 @@
 //! cares about, say, decommissions of minidisk 7 reads the footer,
 //! decodes the chunks whose summaries can possibly match, and takes
 //! aggregate totals straight from the summaries of everything it
-//! skipped.
+//! skipped. Inside a decoded chunk it builds only the records of the
+//! kinds it reads; each run of other records folds into a gap summary
+//! ([`decode_chunk`]).
 //!
 //! The format is lossless against JSONL in both directions:
 //! [`write_strc`]/[`read_strc`] round-trip exactly the records
@@ -58,6 +60,10 @@ pub const DEFAULT_CHUNK_RECORDS: usize = 4096;
 /// Number of event kinds (one bit each in [`ChunkSummary::kind_mask`]).
 pub const EVENT_KINDS: usize = 17;
 
+/// Every event kind: the mask under which [`decode_chunk`] builds all
+/// records.
+pub const ALL_KINDS: u32 = (1 << EVENT_KINDS) - 1;
+
 /// Event kinds in a version-1 footer (before `FleetRollup`).
 const EVENT_KINDS_V1: usize = 14;
 
@@ -66,6 +72,16 @@ const EVENT_KINDS_V2: usize = 15;
 
 /// Event kinds in a version-3 footer (before `ClusterRollup`).
 const EVENT_KINDS_V3: usize = 16;
+
+/// Bytes of the smallest possible record: seq, day, op and the kind
+/// tag. Capacities taken from counts in the file are capped at the
+/// bytes left divided by this, so a corrupt count cannot allocate more
+/// than the file can back.
+const MIN_RECORD_BYTES: usize = 21;
+
+/// Bytes of the smallest footer summary (version 1: u16 kind mask and
+/// 14 count slots; later versions only add bytes).
+const MIN_SUMMARY_BYTES: usize = 222;
 
 /// The wire tag of each [`TraceEvent`] variant. Order is part of the
 /// format: renumbering breaks every existing `.strc` file.
@@ -396,6 +412,10 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn done(&self) -> bool {
         self.pos == self.buf.len()
     }
@@ -515,13 +535,19 @@ fn encode_u32_vec(v: &[u32], out: &mut Vec<u8>) {
     }
 }
 
-fn decode_u32_vec(cur: &mut Cursor<'_>) -> Result<Vec<u32>, StrcError> {
+/// A u16-length vector; with `build` false the bytes are only stepped
+/// over and the vector stays empty (no allocation).
+fn decode_u32_vec(cur: &mut Cursor<'_>, build: bool) -> Result<Vec<u32>, StrcError> {
     let len = cur.u16()? as usize;
-    let mut v = Vec::with_capacity(len);
-    for _ in 0..len {
-        v.push(cur.u32()?);
-    }
-    Ok(v)
+    let bytes = cur.take(len * 4)?;
+    Ok(if build {
+        bytes
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+            .collect()
+    } else {
+        Vec::new()
+    })
 }
 
 fn encode_u64_vec(v: &[u64], out: &mut Vec<u8>) {
@@ -532,13 +558,18 @@ fn encode_u64_vec(v: &[u64], out: &mut Vec<u8>) {
     }
 }
 
-fn decode_u64_vec(cur: &mut Cursor<'_>) -> Result<Vec<u64>, StrcError> {
+/// [`decode_u32_vec`] for u64 elements.
+fn decode_u64_vec(cur: &mut Cursor<'_>, build: bool) -> Result<Vec<u64>, StrcError> {
     let len = cur.u16()? as usize;
-    let mut v = Vec::with_capacity(len);
-    for _ in 0..len {
-        v.push(cur.u64()?);
-    }
-    Ok(v)
+    let bytes = cur.take(len * 8)?;
+    Ok(if build {
+        bytes
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+            .collect()
+    } else {
+        Vec::new()
+    })
 }
 
 fn death_code(cause: DeathCause) -> u8 {
@@ -560,16 +591,27 @@ fn decode_death(code: u8, at: u64) -> Result<DeathCause, StrcError> {
     })
 }
 
-fn decode_event(cur: &mut Cursor<'_>) -> Result<TraceEvent, StrcError> {
+/// Decode one event. Kinds outside `mask` are validated exactly as
+/// strictly but never built in full: their heap payloads (marker
+/// label, rollup histograms) stay empty, so stepping over them
+/// allocates nothing while every scalar a [`ChunkSummary`] folds —
+/// time, kind, id, transition, relocated and re-replicated bytes — is
+/// still read.
+fn decode_event(cur: &mut Cursor<'_>, mask: u32) -> Result<TraceEvent, StrcError> {
     let at = cur.base + cur.pos as u64;
     let kind = cur.u8()?;
+    let build = mask.checked_shr(kind.into()).is_some_and(|m| m & 1 == 1);
     Ok(match kind {
         0 => {
             let len = cur.u16()? as usize;
-            let bytes = cur.take(len)?;
+            let label = std::str::from_utf8(cur.take(len)?)
+                .map_err(|e| StrcError::corrupt(at, format!("bad marker label: {e}")))?;
             TraceEvent::RunMarker {
-                label: String::from_utf8(bytes.to_vec())
-                    .map_err(|e| StrcError::corrupt(at, format!("bad marker label: {e}")))?,
+                label: if build {
+                    label.to_owned()
+                } else {
+                    String::new()
+                },
             }
         }
         1 => TraceEvent::PageTired {
@@ -636,21 +678,24 @@ fn decode_event(cur: &mut Cursor<'_>) -> Result<TraceEvent, StrcError> {
             dead_afr: cur.u32()?,
             dying: cur.u32()?,
             capacity_opages: cur.u64()?,
-            wear: decode_u32_vec(cur)?,
-            pec: decode_u32_vec(cur)?,
-            usable: decode_u32_vec(cur)?,
-            health: decode_u32_vec(cur)?,
+            wear: decode_u32_vec(cur, build)?,
+            pec: decode_u32_vec(cur, build)?,
+            usable: decode_u32_vec(cur, build)?,
+            health: decode_u32_vec(cur, build)?,
         }),
         15 => {
             let day = cur.u32()?;
             let classes = cur.u16()? as usize;
-            let mut out = Vec::with_capacity(classes);
+            let mut out = Vec::new();
             for _ in 0..classes {
-                out.push(crate::latency::ClassLatency {
+                let class = crate::latency::ClassLatency {
                     count: cur.u64()?,
                     total_ns: cur.u64()?,
-                    bins: decode_u64_vec(cur)?,
-                });
+                    bins: decode_u64_vec(cur, build)?,
+                };
+                if build {
+                    out.push(class);
+                }
             }
             TraceEvent::LatencyRollup(crate::latency::LatencyRollup { day, classes: out })
         }
@@ -666,8 +711,8 @@ fn decode_event(cur: &mut Cursor<'_>) -> Result<TraceEvent, StrcError> {
             drain_bytes: cur.u64()?,
             data_at_risk: cur.u64()?,
             exposure_windows: cur.u64()?,
-            fullness: decode_u32_vec(cur)?,
-            exposure: decode_u64_vec(cur)?,
+            fullness: decode_u32_vec(cur, build)?,
+            exposure: decode_u64_vec(cur, build)?,
         }),
         n => return Err(StrcError::corrupt(at, format!("unknown event kind {n}"))),
     })
@@ -681,20 +726,107 @@ pub fn encode_record(rec: &TraceRecord, out: &mut Vec<u8>) {
     encode_event(&rec.event, out);
 }
 
-fn decode_record(cur: &mut Cursor<'_>) -> Result<TraceRecord, StrcError> {
+fn decode_record(cur: &mut Cursor<'_>, mask: u32) -> Result<TraceRecord, StrcError> {
     Ok(TraceRecord {
         seq: cur.u64()?,
         time: SimTime::new(cur.u32()?, cur.u64()?),
-        event: decode_event(cur)?,
+        event: decode_event(cur, mask)?,
     })
 }
 
-/// Decode a whole chunk payload.
-pub fn decode_chunk(payload: &[u8], file_offset: u64) -> Result<Vec<TraceRecord>, StrcError> {
+/// A chunk decoded under a kind mask: the records of the mask's kinds,
+/// in emission order, and in place of each run of other records one
+/// gap summary — exactly [`summarize`] of the run. Derefs to the built
+/// records; [`ChunkRecords::parts`] interleaves the gaps.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ChunkRecords {
+    records: Vec<TraceRecord>,
+    /// `(i, gap)`: `gap` stands for the records elided just before
+    /// `records[i]` (`i == records.len()`: after the last one).
+    gaps: Vec<(usize, ChunkSummary)>,
+}
+
+/// One piece of a [`ChunkRecords`], in emission order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ChunkPart<'a> {
+    /// A built record.
+    Record(&'a TraceRecord),
+    /// A run of records outside the mask, folded into its summary.
+    Gap(&'a ChunkSummary),
+}
+
+impl ChunkPart<'_> {
+    /// Records this part stands for.
+    pub fn records(&self) -> u64 {
+        match self {
+            ChunkPart::Record(_) => 1,
+            ChunkPart::Gap(s) => u64::from(s.records),
+        }
+    }
+}
+
+impl ChunkRecords {
+    /// Records and gaps interleaved in emission order.
+    pub fn parts(&self) -> impl Iterator<Item = ChunkPart<'_>> + '_ {
+        let (mut r, mut g) = (0, 0);
+        std::iter::from_fn(move || {
+            if let Some((at, gap)) = self.gaps.get(g) {
+                if *at == r {
+                    g += 1;
+                    return Some(ChunkPart::Gap(gap));
+                }
+            }
+            let rec = self.records.get(r)?;
+            r += 1;
+            Some(ChunkPart::Record(rec))
+        })
+    }
+
+    /// Records the chunk holds: built ones plus those the gaps stand for.
+    pub fn record_count(&self) -> u64 {
+        let elided: u64 = self.gaps.iter().map(|(_, g)| u64::from(g.records)).sum();
+        self.records.len() as u64 + elided
+    }
+
+    /// The built records alone.
+    pub fn into_records(self) -> Vec<TraceRecord> {
+        self.records
+    }
+}
+
+impl std::ops::Deref for ChunkRecords {
+    type Target = [TraceRecord];
+
+    fn deref(&self) -> &[TraceRecord] {
+        &self.records
+    }
+}
+
+/// Walk a chunk payload: build the records whose kind is in `mask` and
+/// fold each run of other records into one gap summary. Every record is
+/// validated alike, so the walk fails exactly when a full decode
+/// ([`ALL_KINDS`]) would; nothing is pre-sized from the payload.
+pub fn decode_chunk(
+    payload: &[u8],
+    file_offset: u64,
+    mask: u32,
+) -> Result<ChunkRecords, StrcError> {
     let mut cur = Cursor::new(payload, file_offset);
-    let mut out = Vec::new();
+    let mut out = ChunkRecords::default();
+    let mut gap = ChunkSummary::default();
     while !cur.done() {
-        out.push(decode_record(&mut cur)?);
+        let rec = decode_record(&mut cur, mask)?;
+        if EventKind::of(&rec.event).bit() & mask == 0 {
+            gap.absorb(&rec);
+            continue;
+        }
+        if gap.records > 0 {
+            out.gaps.push((out.records.len(), std::mem::take(&mut gap)));
+        }
+        out.records.push(rec);
+    }
+    if gap.records > 0 {
+        out.gaps.push((out.records.len(), gap));
     }
     Ok(out)
 }
@@ -785,6 +917,10 @@ impl<W: Write> StrcWriter<W> {
 pub struct StrcReader {
     file: File,
     summaries: Vec<ChunkSummary>,
+    /// Offset of the footer: every chunk must end at or before it.
+    data_end: u64,
+    /// Payload buffer, reused across chunk reads.
+    buf: Vec<u8>,
     /// Chunks decoded so far (queries use this to prove index skips).
     pub chunks_decoded: u64,
 }
@@ -829,7 +965,7 @@ impl StrcReader {
         file.read_exact(&mut footer)?;
         let mut cur = Cursor::new(&footer, footer_start);
         let count = cur.u32()? as usize;
-        let mut summaries = Vec::with_capacity(count);
+        let mut summaries = Vec::with_capacity(count.min(cur.remaining() / MIN_SUMMARY_BYTES));
         for _ in 0..count {
             summaries.push(ChunkSummary::decode(&mut cur, version)?);
         }
@@ -842,6 +978,8 @@ impl StrcReader {
         Ok(StrcReader {
             file,
             summaries,
+            data_end: footer_start,
+            buf: Vec::new(),
             chunks_decoded: 0,
         })
     }
@@ -861,39 +999,51 @@ impl StrcReader {
         self.summaries.iter().map(|s| s.records as u64).sum()
     }
 
-    /// Decode chunk `i`.
-    pub fn read_chunk(&mut self, i: usize) -> Result<Vec<TraceRecord>, StrcError> {
-        let s = self.summaries[i].clone();
-        self.file.seek(SeekFrom::Start(s.offset))?;
+    /// Decode chunk `i`, building only records whose kind is in `mask`
+    /// (see [`decode_chunk`]).
+    pub fn read_chunk_kinds(&mut self, i: usize, mask: u32) -> Result<ChunkRecords, StrcError> {
+        let (offset, byte_len, records) = {
+            let s = &self.summaries[i];
+            (s.offset, s.byte_len, s.records)
+        };
+        if offset.saturating_add(4 + u64::from(byte_len)) > self.data_end {
+            return Err(StrcError::corrupt(offset, "chunk extends into the footer"));
+        }
+        self.file.seek(SeekFrom::Start(offset))?;
         let mut len = [0u8; 4];
         self.file.read_exact(&mut len)?;
         let len = u32::from_le_bytes(len);
-        if len != s.byte_len {
+        if len != byte_len {
             return Err(StrcError::corrupt(
-                s.offset,
-                format!("chunk length {len} disagrees with index {}", s.byte_len),
+                offset,
+                format!("chunk length {len} disagrees with index {byte_len}"),
             ));
         }
-        let mut payload = vec![0u8; len as usize];
-        self.file.read_exact(&mut payload)?;
+        self.buf.resize(len as usize, 0);
+        self.file.read_exact(&mut self.buf)?;
         self.chunks_decoded += 1;
-        let records = decode_chunk(&payload, s.offset + 4)?;
-        if records.len() as u32 != s.records {
+        let chunk = decode_chunk(&self.buf, offset + 4, mask)?;
+        if chunk.record_count() != u64::from(records) {
             return Err(StrcError::corrupt(
-                s.offset,
+                offset,
                 format!(
-                    "chunk has {} records, index says {}",
-                    records.len(),
-                    s.records
+                    "chunk has {} records, index says {records}",
+                    chunk.record_count()
                 ),
             ));
         }
-        Ok(records)
+        Ok(chunk)
+    }
+
+    /// Decode chunk `i` in full.
+    pub fn read_chunk(&mut self, i: usize) -> Result<Vec<TraceRecord>, StrcError> {
+        Ok(self.read_chunk_kinds(i, ALL_KINDS)?.into_records())
     }
 
     /// Decode every chunk in order.
     pub fn read_all(&mut self) -> Result<Vec<TraceRecord>, StrcError> {
-        let mut out = Vec::with_capacity(self.record_count() as usize);
+        let cap = (self.record_count() as usize).min(self.data_end as usize / MIN_RECORD_BYTES);
+        let mut out = Vec::with_capacity(cap);
         for i in 0..self.summaries.len() {
             out.extend(self.read_chunk(i)?);
         }
@@ -1457,6 +1607,222 @@ mod tests {
         assert_eq!(tail.count(EventKind::FleetRollup), 1);
         assert_eq!(r.read_all().unwrap(), records);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// One event of every kind, in [`EventKind`] order, each with a
+    /// non-empty heap payload where the kind has one.
+    fn one_of_each_kind() -> Vec<TraceEvent> {
+        let mut latency = crate::latency::LatencyRollup::empty(3);
+        latency.classes[0].observe(55_120, 9);
+        let mut cluster = crate::cluster::ClusterRollup::empty(3);
+        cluster.fullness[2] = 5;
+        cluster.exposure[1] = 4;
+        vec![
+            TraceEvent::RunMarker {
+                label: "mode=δ".into(),
+            },
+            TraceEvent::PageTired {
+                fpage: 9,
+                from: 1,
+                to: 2,
+            },
+            TraceEvent::PageRetired { fpage: 9, from: 4 },
+            TraceEvent::MdiskDecommissioned {
+                id: 7,
+                valid_lbas: 11,
+                draining: true,
+                cause: DecommissionCause::LevelShortfall,
+            },
+            TraceEvent::MdiskPurged { id: 7 },
+            TraceEvent::MdiskRegenerated { id: 8, level: 2 },
+            TraceEvent::GcPass {
+                block: 3,
+                relocated: 40,
+            },
+            TraceEvent::ScrubRefresh {
+                fpage: 5,
+                opages: 4,
+            },
+            TraceEvent::ReadRetry {
+                mdisk: 7,
+                retries: 3,
+            },
+            TraceEvent::UncorrectableRead { mdisk: 7, lba: 12 },
+            TraceEvent::DeviceDied {
+                cause: DeathCause::Wear,
+            },
+            TraceEvent::FleetDeviceDied {
+                device: 70,
+                cause: DeathCause::Afr,
+            },
+            TraceEvent::ChunkReReplicated {
+                chunk: 99,
+                bytes: 1 << 20,
+            },
+            TraceEvent::ChunkLost { chunk: 100 },
+            TraceEvent::FleetRollup(crate::rollup::FleetRollup {
+                day: 3,
+                alive: 9,
+                dead_wear: 1,
+                dead_afr: 0,
+                dying: 2,
+                capacity_opages: 1234,
+                wear: vec![1; 20],
+                pec: vec![2; 20],
+                usable: vec![3; 20],
+                health: vec![4; 20],
+            }),
+            TraceEvent::LatencyRollup(latency),
+            TraceEvent::ClusterRollup(cluster),
+        ]
+    }
+
+    /// Stepping over a record of `kind` consumes exactly the bytes a
+    /// full decode consumes, and folds into a summary exactly as the
+    /// built record does.
+    fn assert_skip_matches_decode(kind: EventKind) {
+        let event = one_of_each_kind().swap_remove(kind as usize);
+        assert_eq!(EventKind::of(&event), kind);
+        let rec = TraceRecord {
+            seq: 4,
+            time: SimTime::new(3, 77),
+            event,
+        };
+        let mut bytes = Vec::new();
+        encode_record(&rec, &mut bytes);
+        let len = bytes.len();
+        // A trailing record: both walks must stop exactly at its start.
+        encode_record(&sample_records(1)[0], &mut bytes);
+        let mut full = Cursor::new(&bytes, 0);
+        let built = decode_record(&mut full, ALL_KINDS).unwrap();
+        let mut skip = Cursor::new(&bytes, 0);
+        let stepped = decode_record(&mut skip, ALL_KINDS & !kind.bit()).unwrap();
+        assert_eq!(built, rec);
+        assert_eq!(full.pos, len, "full decode of {kind:?}");
+        assert_eq!(skip.pos, len, "skip step of {kind:?}");
+        assert_eq!(summarize(&[stepped]), summarize(&[rec]));
+    }
+
+    macro_rules! skip_tests {
+        ($($name:ident: $kind:ident,)*) => {$(
+            #[test]
+            fn $name() {
+                assert_skip_matches_decode(EventKind::$kind);
+            }
+        )*};
+    }
+
+    skip_tests! {
+        skip_run_marker: RunMarker,
+        skip_page_tired: PageTired,
+        skip_page_retired: PageRetired,
+        skip_mdisk_decommissioned: MdiskDecommissioned,
+        skip_mdisk_purged: MdiskPurged,
+        skip_mdisk_regenerated: MdiskRegenerated,
+        skip_gc_pass: GcPass,
+        skip_scrub_refresh: ScrubRefresh,
+        skip_read_retry: ReadRetry,
+        skip_uncorrectable_read: UncorrectableRead,
+        skip_device_died: DeviceDied,
+        skip_fleet_device_died: FleetDeviceDied,
+        skip_chunk_re_replicated: ChunkReReplicated,
+        skip_chunk_lost: ChunkLost,
+        skip_fleet_rollup: FleetRollup,
+        skip_latency_rollup: LatencyRollup,
+        skip_cluster_rollup: ClusterRollup,
+    }
+
+    #[test]
+    fn selective_decode_builds_the_mask_and_folds_the_rest() {
+        let events = one_of_each_kind();
+        let records: Vec<TraceRecord> = events
+            .into_iter()
+            .enumerate()
+            .map(|(i, event)| TraceRecord {
+                seq: i as u64,
+                time: SimTime::new(i as u32, 0),
+                event,
+            })
+            .collect();
+        let mut payload = Vec::new();
+        for r in &records {
+            encode_record(r, &mut payload);
+        }
+        let mask = EventKind::mask(&[EventKind::PageTired, EventKind::GcPass]);
+        let chunk = decode_chunk(&payload, 0, mask).unwrap();
+        assert_eq!(&chunk[..], &[records[1].clone(), records[6].clone()]);
+        assert_eq!(chunk.record_count(), records.len() as u64);
+        let gaps: Vec<ChunkSummary> = chunk
+            .parts()
+            .filter_map(|p| match p {
+                ChunkPart::Gap(s) => Some(s.clone()),
+                ChunkPart::Record(_) => None,
+            })
+            .collect();
+        assert_eq!(
+            gaps,
+            vec![
+                summarize(&records[..1]),
+                summarize(&records[2..6]),
+                summarize(&records[7..]),
+            ]
+        );
+        let all = decode_chunk(&payload, 0, ALL_KINDS).unwrap();
+        assert_eq!(all.into_records(), records);
+    }
+
+    /// File bytes of a small trace plus the offset of its footer.
+    fn written(name: &str) -> (PathBuf, Vec<u8>, usize) {
+        let path = tmp(name);
+        write_strc(&path, &sample_records(20), 8).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let n = bytes.len();
+        let footer_len = u32::from_le_bytes(bytes[n - 8..n - 4].try_into().unwrap()) as usize;
+        (path, bytes, n - 8 - footer_len)
+    }
+
+    #[test]
+    fn corrupt_footer_count_is_a_typed_error() {
+        let (path, mut bytes, footer) = written("count.strc");
+        for count in [u32::MAX, 0x0F00_0000, 4] {
+            bytes[footer..footer + 4].copy_from_slice(&count.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(
+                matches!(StrcReader::open(&path), Err(StrcError::Corrupt { .. })),
+                "count {count}"
+            );
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn corrupt_chunk_sizes_are_typed_errors() {
+        // First summary: offset u64, byte_len u32, records u32.
+        let (path, clean, footer) = written("sizes.strc");
+        let mut bytes = clean.clone();
+        bytes[footer + 16..footer + 20].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let mut r = StrcReader::open(&path).unwrap();
+        assert!(matches!(r.read_all(), Err(StrcError::Corrupt { .. })));
+        // A huge length in both the index and the prefix must be
+        // refused before anything is allocated for it.
+        let mut bytes = clean;
+        bytes[footer + 12..footer + 16].copy_from_slice(&u32::MAX.to_le_bytes());
+        bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let mut r = StrcReader::open(&path).unwrap();
+        assert!(matches!(r.read_chunk(0), Err(StrcError::Corrupt { .. })));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn min_summary_bytes_is_the_version1_summary_length() {
+        let mut v1 = Vec::new();
+        encode_summary_v1(&ChunkSummary::default(), &mut v1);
+        assert_eq!(v1.len(), MIN_SUMMARY_BYTES);
+        let mut v4 = Vec::new();
+        ChunkSummary::default().encode(&mut v4);
+        assert!(v4.len() >= MIN_SUMMARY_BYTES);
     }
 
     #[test]

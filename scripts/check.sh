@@ -107,6 +107,21 @@ if [ "$quick" -eq 0 ]; then
                 exit 1
             fi
         done
+        # The id-filtered path (bloom-selected read-path records) on the
+        # minidisk `why` explains by default.
+        mdisk="$("$repo/target/release/obsctl" why run.jsonl |
+            sed -n 's/^why: minidisk \([0-9]*\) .*/\1/p')"
+        if [ -z "$mdisk" ]; then
+            echo "error: obsctl why names no decommissioned minidisk" >&2
+            exit 1
+        fi
+        for q in lifecycle why; do
+            if ! diff <("$repo/target/release/obsctl" "$q" run.jsonl --mdisk "$mdisk") \
+                <("$repo/target/release/obsctl" "$q" run.strc --mdisk "$mdisk") >/dev/null; then
+                echo "error: obsctl $q --mdisk $mdisk differs between JSONL and .strc" >&2
+                exit 1
+            fi
+        done
         # Lossless round trip back to JSONL.
         "$repo/target/release/obsctl" convert run.strc run2.jsonl 2>/dev/null
         cmp run.jsonl run2.jsonl
