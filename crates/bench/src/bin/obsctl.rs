@@ -28,7 +28,8 @@
 //! number and offending snippet — and exit 2.
 
 use salamander_bench::has_flag;
-use salamander_health::{query, HealthMonitor, HealthUnit};
+use salamander_health::query::{self, Query, TraceSource};
+use salamander_health::{HealthMonitor, HealthUnit};
 use salamander_obs::strc::{self, StrcReader};
 use salamander_obs::{trace, TraceRecord};
 
@@ -79,7 +80,7 @@ fn open_strc(path: &str) -> StrcReader {
     }
 }
 
-/// Run an indexed query, mapping a mid-read failure to exit 2.
+/// Exit 2 on a mid-read `.strc` failure.
 fn indexed<T>(path: &str, result: Result<T, strc::StrcError>) -> T {
     match result {
         Ok(t) => t,
@@ -88,6 +89,28 @@ fn indexed<T>(path: &str, result: Result<T, strc::StrcError>) -> T {
             std::process::exit(2);
         }
     }
+}
+
+/// Hand `f` the trace at `path` as a [`TraceSource`]: an indexed
+/// reader for `.strc`, the parsed records for JSONL.
+fn with_trace<T>(path: &str, f: impl FnOnce(TraceSource<'_>) -> T) -> T {
+    if is_strc(path) {
+        return f(TraceSource::Strc(&mut open_strc(path)));
+    }
+    match trace::parse_jsonl(&read_file(path)) {
+        Ok(records) => f(TraceSource::Records(&records)),
+        Err(e) => {
+            // The typed error carries the 1-based line and a snippet of
+            // the offending text — point straight at the corruption.
+            eprintln!("obsctl: {path} is not a valid trace: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Run `q` over the trace at `path` and print its answer.
+fn print_query(path: &str, q: Query<'_>) {
+    print!("{}", indexed(path, with_trace(path, |src| q.run(src))));
 }
 
 /// Positional (non-flag) arguments after the program name, skipping
@@ -132,22 +155,6 @@ fn read_file(path: &str) -> String {
     }
 }
 
-fn read_trace(path: &str) -> Vec<TraceRecord> {
-    if is_strc(path) {
-        let mut reader = open_strc(path);
-        return indexed(path, reader.read_all());
-    }
-    match trace::parse_jsonl(&read_file(path)) {
-        Ok(records) => records,
-        Err(e) => {
-            // The typed error carries the 1-based line and a snippet of
-            // the offending text — point straight at the corruption.
-            eprintln!("obsctl: {path} is not a valid trace: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
 /// Pick the analytics clock for a trace: day-clock if any record
 /// carries a day stamp, op-clock otherwise (endurance runs never
 /// advance the day counter).
@@ -166,47 +173,10 @@ fn main() {
         std::process::exit(1);
     };
     match (cmd.as_str(), pos.get(1), pos.get(2)) {
-        ("lifecycle", Some(path), None) => {
-            if is_strc(path) {
-                let mut r = open_strc(path);
-                print!(
-                    "{}",
-                    indexed(path, query::lifecycle_strc(&mut r, mdisk_arg()))
-                );
-            } else {
-                print!("{}", query::lifecycle(&read_trace(path), mdisk_arg()));
-            }
-        }
-        ("why", Some(path), None) => {
-            if is_strc(path) {
-                let mut r = open_strc(path);
-                print!("{}", indexed(path, query::why_strc(&mut r, mdisk_arg())));
-            } else {
-                print!("{}", query::why(&read_trace(path), mdisk_arg()));
-            }
-        }
-        ("fleet", Some(path), None) => {
-            if is_strc(path) {
-                let mut r = open_strc(path);
-                print!(
-                    "{}",
-                    indexed(path, query::fleet_rollup_strc(&mut r, has_flag("--csv")))
-                );
-            } else {
-                print!(
-                    "{}",
-                    query::fleet_rollup(&read_trace(path), has_flag("--csv"))
-                );
-            }
-        }
-        ("fleet-timeline", Some(path), None) => {
-            if is_strc(path) {
-                let mut r = open_strc(path);
-                print!("{}", indexed(path, query::fleet_timeline_strc(&mut r)));
-            } else {
-                print!("{}", query::fleet_timeline(&read_trace(path)));
-            }
-        }
+        ("lifecycle", Some(path), None) => print_query(path, Query::Lifecycle(mdisk_arg())),
+        ("why", Some(path), None) => print_query(path, Query::Why(mdisk_arg())),
+        ("fleet", Some(path), None) => print_query(path, Query::Fleet(has_flag("--csv"))),
+        ("fleet-timeline", Some(path), None) => print_query(path, Query::FleetTimeline),
         ("percentiles", Some(path), Some(metric)) => {
             if !salamander_obs::DIST_NAMES.contains(&metric.as_str()) {
                 eprintln!(
@@ -215,12 +185,7 @@ fn main() {
                 );
                 std::process::exit(2);
             }
-            if is_strc(path) {
-                let mut r = open_strc(path);
-                print!("{}", indexed(path, query::percentiles_strc(&mut r, metric)));
-            } else {
-                print!("{}", query::percentiles(&read_trace(path), metric));
-            }
+            print_query(path, Query::Percentiles(metric));
         }
         ("drill", Some(path), Some(day)) => {
             let day: u32 = match day.parse() {
@@ -230,12 +195,7 @@ fn main() {
                     std::process::exit(2);
                 }
             };
-            if is_strc(path) {
-                let mut r = open_strc(path);
-                print!("{}", indexed(path, query::drill_strc(&mut r, day)));
-            } else {
-                print!("{}", query::drill(&read_trace(path), day));
-            }
+            print_query(path, Query::Drill(day));
         }
         ("latency", Some(path), class) => {
             let class = class.map(String::as_str);
@@ -248,39 +208,29 @@ fn main() {
                     std::process::exit(2);
                 }
             }
-            if is_strc(path) {
-                let mut r = open_strc(path);
-                print!("{}", indexed(path, query::latency_strc(&mut r, class)));
-            } else {
-                print!("{}", query::latency(&read_trace(path), class));
-            }
+            print_query(path, Query::Latency(class));
         }
-        ("cluster", Some(path), None) => {
-            if is_strc(path) {
-                let mut r = open_strc(path);
-                print!("{}", indexed(path, query::cluster_strc(&mut r)));
-            } else {
-                print!("{}", query::cluster(&read_trace(path)));
-            }
-        }
-        ("exposure", Some(path), None) => {
-            if is_strc(path) {
-                let mut r = open_strc(path);
-                print!("{}", indexed(path, query::exposure_strc(&mut r)));
-            } else {
-                print!("{}", query::exposure(&read_trace(path)));
-            }
-        }
+        ("cluster", Some(path), None) => print_query(path, Query::Cluster),
+        ("exposure", Some(path), None) => print_query(path, Query::Exposure),
         ("health", Some(path), None) => {
-            let records = read_trace(path);
-            let unit = unit_for(&records);
-            let bucket = match unit {
-                HealthUnit::Ops => 10_000,
-                HealthUnit::Days => 7,
-            };
-            let mut monitor = HealthMonitor::new(unit, bucket);
-            monitor.ingest_trace(&records);
-            let report = monitor.report();
+            let report = with_trace(path, |src| {
+                let decoded;
+                let records = match src {
+                    TraceSource::Records(records) => records,
+                    TraceSource::Strc(reader) => {
+                        decoded = indexed(path, reader.read_all());
+                        &decoded
+                    }
+                };
+                let unit = unit_for(records);
+                let bucket = match unit {
+                    HealthUnit::Ops => 10_000,
+                    HealthUnit::Days => 7,
+                };
+                let mut monitor = HealthMonitor::new(unit, bucket);
+                monitor.ingest_trace(records);
+                monitor.report()
+            });
             match serde_json::to_string(&report) {
                 Ok(json) => println!("{json}"),
                 Err(e) => {

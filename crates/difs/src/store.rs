@@ -478,6 +478,7 @@ impl ChunkStore {
 mod tests {
     use super::*;
     use crate::types::DeviceId;
+    use salamander_obs::Rollup;
 
     /// `nodes × devices_per_node × units_per_device`, each unit `cap` chunks.
     fn build(nodes: u32, devs: u32, units: u32, cap: u32) -> (Cluster, Vec<UnitId>) {

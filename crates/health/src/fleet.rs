@@ -1,182 +1,163 @@
-//! Rollup-fed fleet anomaly scan (DESIGN.md §11/§14).
+//! Rollup-fed anomaly scans (DESIGN.md §11/§14).
 //!
 //! The per-device monitors in [`crate::monitor`] watch one device's
-//! trace; this module watches the whole fleet through its per-day
-//! [`FleetRollup`] series. Two rolling z-score detectors run over the
-//! day-over-day deltas:
+//! trace; this module watches whole populations through their rollup
+//! series. Every scan is one loop, `scan`, over a table of detector
+//! rows: each row names a scalar series of a [`Rollup`] family, how its
+//! sample-over-sample delta is taken, and the [`AnomalyKind`] it flags.
 //!
-//! - **death rate** — new deaths per sampled day (wear + AFR). A spike
-//!   against the rolling window flags a cohort hitting its wear cliff
-//!   or a correlated failure burst.
-//! - **wear rate** — movement of the fleet's median wear fraction
-//!   (`wear_p50`, permille). Acceleration flags a workload shift
-//!   driving the whole population toward its endurance budget faster
-//!   than its own history predicted.
+//! - [`fleet_scan`] — new deaths per sampled day (a cohort hitting its
+//!   wear cliff) and movement of the median wear fraction (`wear_p50`,
+//!   a workload shift speeding the fleet toward its endurance budget).
+//! - [`latency_scan`] — per op class, the day-over-day p99 delta: the
+//!   §4.2 multi-read tax landing, a retry storm, a GC stall pile-up.
+//! - [`cluster_scan`] — recovery storms (backlog growth or a repair
+//!   byte burst against its own history) and any data loss.
 //!
 //! Input and output are deterministic artifacts (integer rollups in,
-//! milli-scaled [`Anomaly`] records out), so the scan inherits the obs
+//! milli-scaled [`Anomaly`] records out), so the scans inherit the obs
 //! layer's byte-identity across engines and thread counts.
 
 use crate::anomaly::{to_milli, Anomaly, AnomalyKind, RollingZScore};
-use salamander_obs::{ClusterRollup, FleetRollup, LatencyRollup, SimTime, LAT_CLASSES};
+use salamander_obs::{ClusterRollup, FleetRollup, LatencyRollup, Rollup, SimTime};
+use AnomalyKind::{
+    DataLoss, FleetDeathSpike, FleetWearAccel, RecoveryStorm, TailLatencyRegression,
+};
+use Delta::{AnyIncrease, Saturating, Signed};
 
 /// Fleet-wide anomaly subject: there is no single device to blame.
 pub const FLEET_SUBJECT: u32 = u32::MAX;
 
-/// Scan a chronological rollup series for death-rate spikes and
-/// wear-rate acceleration. Detectors are [`RollingZScore::standard`]
-/// (16-sample window, 8 warm-up, 3σ), so a steady death or wear rate —
-/// even a high one — never flags; only deviation from the series' own
-/// recent history does.
-pub fn fleet_scan<'a>(rollups: impl IntoIterator<Item = &'a FleetRollup>) -> Vec<Anomaly> {
-    let mut out = Vec::new();
-    let mut death_det = RollingZScore::standard();
-    let mut wear_det = RollingZScore::standard();
-    let mut prev_dead: Option<u32> = None;
-    let mut prev_wear: Option<u64> = None;
-    for r in rollups {
-        if let Some(p) = prev_dead {
-            let delta = f64::from(r.dead().saturating_sub(p));
-            if let Some(dev) = death_det.observe(delta) {
-                out.push(Anomaly {
-                    time: SimTime::new(r.day, 0),
-                    kind: AnomalyKind::FleetDeathSpike,
-                    subject: FLEET_SUBJECT,
-                    value_milli: to_milli(delta),
-                    mean_milli: to_milli(dev.mean),
-                    z_milli: to_milli(dev.z),
-                });
-            }
-        }
-        prev_dead = Some(r.dead());
-        if let Some(wear) = r.series_value("wear_p50") {
-            if let Some(p) = prev_wear {
-                let delta = wear.saturating_sub(p) as f64;
-                if let Some(dev) = wear_det.observe(delta) {
-                    out.push(Anomaly {
-                        time: SimTime::new(r.day, 0),
-                        kind: AnomalyKind::FleetWearAccel,
-                        subject: FLEET_SUBJECT,
-                        value_milli: to_milli(delta),
-                        mean_milli: to_milli(dev.mean),
-                        z_milli: to_milli(dev.z),
-                    });
-                }
-            }
-            prev_wear = Some(wear);
-        }
-    }
-    out.sort();
-    out
+/// How a detector row turns two consecutive series values into the
+/// sample it observes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Delta {
+    /// `cur − prev`, floored at zero, through a rolling z-score.
+    Saturating,
+    /// `cur − prev` as a signed value, through a rolling z-score: a
+    /// series falling back enters the window but never flags.
+    Signed,
+    /// Any increase over the previous value (zero before the first)
+    /// flags at once, with no z-gate and no warm-up.
+    AnyIncrease,
 }
 
-/// Scan a chronological latency-rollup series for tail-latency
-/// regressions: per op class, a rolling z-score over the day-over-day
-/// p99 deltas (nanoseconds). A steady tail — even a slow one — never
-/// flags; a jump against the class's own recent history does (the §4.2
-/// multi-read tax landing, a retry storm, a GC stall pile-up). The
-/// anomaly subject is the class index into [`LAT_CLASSES`]. Floats
-/// appear only here, after the integer rollups were merged, so the
-/// output inherits their byte-identity.
-pub fn latency_scan<'a>(rollups: impl IntoIterator<Item = &'a LatencyRollup>) -> Vec<Anomaly> {
+/// One anomaly detector over one scalar series of a rollup family.
+#[derive(Debug, Clone, Copy)]
+struct Detector {
+    /// The series name, as [`Rollup::series_value`] reads it.
+    series: &'static str,
+    /// How consecutive values become a sample.
+    delta: Delta,
+    /// What a flag is reported as.
+    kind: AnomalyKind,
+    /// The flag's subject.
+    subject: u32,
+}
+
+const fn row(series: &'static str, delta: Delta, kind: AnomalyKind, subject: u32) -> Detector {
+    Detector {
+        series,
+        delta,
+        kind,
+        subject,
+    }
+}
+
+/// Fleet rows: death-rate spikes and median-wear acceleration.
+const FLEET_DETECTORS: [Detector; 2] = [
+    row("dead", Saturating, FleetDeathSpike, FLEET_SUBJECT),
+    row("wear_p50", Saturating, FleetWearAccel, FLEET_SUBJECT),
+];
+
+/// Latency rows: one signed p99 detector per op class, the subject
+/// being the class index into [`salamander_obs::LAT_CLASSES`].
+const LATENCY_DETECTORS: [Detector; 5] = [
+    row("host_read.p99", Signed, TailLatencyRegression, 0),
+    row("host_write.p99", Signed, TailLatencyRegression, 1),
+    row("gc.p99", Signed, TailLatencyRegression, 2),
+    row("scrub.p99", Signed, TailLatencyRegression, 3),
+    row("regen.p99", Signed, TailLatencyRegression, 4),
+];
+
+/// Cluster rows: backlog growth and repair-byte bursts as recovery
+/// storms, and any increase of the cumulative `lost` count as data
+/// loss — data loss is never normal, however early in the run.
+const CLUSTER_DETECTORS: [Detector; 3] = [
+    row("backlog_chunks", Signed, RecoveryStorm, FLEET_SUBJECT),
+    row("repair_bytes", Saturating, RecoveryStorm, FLEET_SUBJECT),
+    row("lost", AnyIncrease, DataLoss, FLEET_SUBJECT),
+];
+
+/// Run the detector `rows` over a chronological rollup series. The
+/// z-gated rows use [`RollingZScore::standard`] (16-sample window, 8
+/// warm-up, 3σ, one-sided), so a steady rate — even a high one — never
+/// flags; only deviation from the series' own recent history does. A
+/// record without a row's series (an empty distribution) is skipped by
+/// that row. Floats appear only here, after the integer rollups were
+/// merged, so the sorted output inherits their byte-identity.
+fn scan<'a, R: Rollup + 'a>(
+    rollups: impl IntoIterator<Item = &'a R>,
+    rows: &[Detector],
+) -> Vec<Anomaly> {
     let mut out = Vec::new();
-    let mut dets: Vec<RollingZScore> = (0..LAT_CLASSES.len())
-        .map(|_| RollingZScore::standard())
-        .collect();
-    let mut prev: Vec<Option<u64>> = vec![None; LAT_CLASSES.len()];
+    let mut dets: Vec<RollingZScore> = rows.iter().map(|_| RollingZScore::standard()).collect();
+    let mut prev: Vec<Option<u64>> = vec![None; rows.len()];
     for r in rollups {
-        for (ci, class) in LAT_CLASSES.iter().enumerate() {
-            let Some(p99) = r.stat(class, "p99") else {
+        let time = SimTime::new(r.day(), 0);
+        for (i, row) in rows.iter().enumerate() {
+            let Some(cur) = r.series_value(row.series) else {
                 continue;
             };
-            if let Some(p) = prev[ci] {
-                // Signed delta: improvements enter the window too, but
-                // the one-sided detector only ever flags regressions.
-                let delta = p99 as f64 - p as f64;
-                if let Some(dev) = dets[ci].observe(delta) {
-                    out.push(Anomaly {
-                        time: SimTime::new(r.day, 0),
-                        kind: AnomalyKind::TailLatencyRegression,
-                        subject: ci as u32,
-                        value_milli: to_milli(delta),
-                        mean_milli: to_milli(dev.mean),
-                        z_milli: to_milli(dev.z),
-                    });
+            let flag = |value: f64, mean: f64, z: f64| Anomaly {
+                time,
+                kind: row.kind,
+                subject: row.subject,
+                value_milli: to_milli(value),
+                mean_milli: to_milli(mean),
+                z_milli: to_milli(z),
+            };
+            match (row.delta, prev[i]) {
+                (AnyIncrease, p) => {
+                    let grew = cur.saturating_sub(p.unwrap_or(0));
+                    if grew > 0 {
+                        out.push(flag(grew as f64, 0.0, 0.0));
+                    }
                 }
+                (Saturating | Signed, Some(p)) => {
+                    let delta = match row.delta {
+                        Signed => cur as f64 - p as f64,
+                        _ => cur.saturating_sub(p) as f64,
+                    };
+                    if let Some(dev) = dets[i].observe(delta) {
+                        out.push(flag(delta, dev.mean, dev.z));
+                    }
+                }
+                (_, None) => {}
             }
-            prev[ci] = Some(p99);
+            prev[i] = Some(cur);
         }
     }
     out.sort();
     out
 }
 
-/// Scan a chronological cluster-rollup series (DESIGN.md §16) for
-/// durability trouble:
-///
-/// - **recovery storms** — the backlog's tick-over-tick growth, or the
-///   tick's repair-byte volume, spikes against its own rolling window
-///   ([`RollingZScore::standard`]): failures arriving faster than the
-///   repair bandwidth drains them. Signed deltas enter the window, so
-///   a backlog draining back down never flags.
-/// - **data loss** — any increase of the cumulative `lost` count flags
-///   [`AnomalyKind::DataLoss`] immediately, with no z-gate and no
-///   warm-up: data loss is never normal, however early in the run.
+/// Death-rate spikes and median-wear acceleration over a chronological
+/// fleet rollup series (the `FLEET_DETECTORS` rows).
+pub fn fleet_scan<'a>(rollups: impl IntoIterator<Item = &'a FleetRollup>) -> Vec<Anomaly> {
+    scan(rollups, &FLEET_DETECTORS)
+}
+
+/// Per-class p99 regressions over a chronological latency rollup
+/// series (the `LATENCY_DETECTORS` rows).
+pub fn latency_scan<'a>(rollups: impl IntoIterator<Item = &'a LatencyRollup>) -> Vec<Anomaly> {
+    scan(rollups, &LATENCY_DETECTORS)
+}
+
+/// Recovery storms and data loss over a chronological cluster rollup
+/// series (the `CLUSTER_DETECTORS` rows).
 pub fn cluster_scan<'a>(rollups: impl IntoIterator<Item = &'a ClusterRollup>) -> Vec<Anomaly> {
-    let mut out = Vec::new();
-    let mut backlog_det = RollingZScore::standard();
-    let mut repair_det = RollingZScore::standard();
-    let mut prev: Option<(u64, u64, u64)> = None;
-    for r in rollups {
-        if let Some((backlog, repair, lost)) = prev {
-            let growth = r.backlog_chunks as f64 - backlog as f64;
-            if let Some(dev) = backlog_det.observe(growth) {
-                out.push(Anomaly {
-                    time: SimTime::new(r.day, 0),
-                    kind: AnomalyKind::RecoveryStorm,
-                    subject: FLEET_SUBJECT,
-                    value_milli: to_milli(growth),
-                    mean_milli: to_milli(dev.mean),
-                    z_milli: to_milli(dev.z),
-                });
-            }
-            let bytes = r.repair_bytes.saturating_sub(repair) as f64;
-            if let Some(dev) = repair_det.observe(bytes) {
-                out.push(Anomaly {
-                    time: SimTime::new(r.day, 0),
-                    kind: AnomalyKind::RecoveryStorm,
-                    subject: FLEET_SUBJECT,
-                    value_milli: to_milli(bytes),
-                    mean_milli: to_milli(dev.mean),
-                    z_milli: to_milli(dev.z),
-                });
-            }
-            let lost_delta = r.lost.saturating_sub(lost);
-            if lost_delta > 0 {
-                out.push(Anomaly {
-                    time: SimTime::new(r.day, 0),
-                    kind: AnomalyKind::DataLoss,
-                    subject: FLEET_SUBJECT,
-                    value_milli: to_milli(lost_delta as f64),
-                    mean_milli: 0,
-                    z_milli: 0,
-                });
-            }
-        } else if r.lost > 0 {
-            // Losses already on the books at the first rollup count too.
-            out.push(Anomaly {
-                time: SimTime::new(r.day, 0),
-                kind: AnomalyKind::DataLoss,
-                subject: FLEET_SUBJECT,
-                value_milli: to_milli(r.lost as f64),
-                mean_milli: 0,
-                z_milli: 0,
-            });
-        }
-        prev = Some((r.backlog_chunks, r.repair_bytes, r.lost));
-    }
-    out.sort();
-    out
+    scan(rollups, &CLUSTER_DETECTORS)
 }
 
 #[cfg(test)]

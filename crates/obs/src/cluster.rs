@@ -16,6 +16,8 @@
 //! exactly from bucket edges. Two runs producing the same chunk-store
 //! history produce byte-identical rollups at any thread count.
 
+use crate::event::TraceEvent;
+use crate::rollup::{nearest_rank, Rollup};
 use serde::{Deserialize, Serialize};
 
 /// Buckets in the per-unit fullness histogram: bucket `i` covers the
@@ -62,27 +64,6 @@ pub fn exposure_bucket(ticks: u64) -> usize {
 /// satisfies `ticks < exposure_upper_ticks(i)`.
 pub fn exposure_upper_ticks(i: usize) -> u64 {
     1u64 << i
-}
-
-/// Exact nearest-rank percentile from an exposure histogram, reported
-/// as the upper edge of the bucket holding the rank-th window. `q` is
-/// in permille (`990` = p99). `None` on an empty histogram.
-pub fn exposure_percentile(bins: &[u64], q_permille: u32) -> Option<u64> {
-    let total: u64 = bins.iter().fold(0u64, |a, &b| a.saturating_add(b));
-    if total == 0 || bins.is_empty() {
-        return None;
-    }
-    let rank = (u128::from(q_permille) * u128::from(total))
-        .div_ceil(1000)
-        .max(1) as u64;
-    let mut cum = 0u64;
-    for (i, &b) in bins.iter().enumerate() {
-        cum = cum.saturating_add(b);
-        if cum >= rank {
-            return Some(exposure_upper_ticks(i));
-        }
-    }
-    Some(exposure_upper_ticks(bins.len() - 1))
 }
 
 /// One per-tick cluster durability aggregate. Counts classify every
@@ -147,30 +128,7 @@ impl ClusterRollup {
     /// Nearest-rank exposure-window percentile (permille), `None` when
     /// no window has closed yet.
     pub fn exposure_percentile(&self, q_permille: u32) -> Option<u64> {
-        exposure_percentile(&self.exposure, q_permille)
-    }
-
-    /// A scalar series value for `/cluster/series` and `obsctl`: one
-    /// of [`CLUSTER_SCALARS`], or `exposure_p50|p90|p99` (window upper
-    /// edge in ticks). `None` for unknown names or, for the exposure
-    /// stats, before any window has closed.
-    pub fn series_value(&self, metric: &str) -> Option<u64> {
-        match metric {
-            "full" => return Some(self.full),
-            "degraded" => return Some(self.degraded),
-            "critical" => return Some(self.critical),
-            "lost" => return Some(self.lost),
-            "backlog_chunks" => return Some(self.backlog_chunks),
-            "backlog_bytes" => return Some(self.backlog_bytes),
-            "repair_bytes" => return Some(self.repair_bytes),
-            "drain_bytes" => return Some(self.drain_bytes),
-            "data_at_risk" => return Some(self.data_at_risk),
-            "exposure_windows" => return Some(self.exposure_windows),
-            _ => {}
-        }
-        let stat = metric.strip_prefix("exposure_")?;
-        let (_, q) = EXPOSURE_STATS.iter().find(|(name, _)| *name == stat)?;
-        self.exposure_percentile(*q)
+        nearest_rank(&self.exposure, q_permille).map(exposure_upper_ticks)
     }
 
     /// Element-wise saturating merge (keeps `self.day`). Commutative,
@@ -192,6 +150,47 @@ impl ClusterRollup {
             *a = a.saturating_add(*b);
         }
         self.exposure_windows = self.exposure_windows.saturating_add(other.exposure_windows);
+    }
+}
+
+impl Rollup for ClusterRollup {
+    fn from_event(event: &TraceEvent) -> Option<&Self> {
+        match event {
+            TraceEvent::ClusterRollup(r) => Some(r),
+            _ => None,
+        }
+    }
+
+    fn day(&self) -> u32 {
+        self.day
+    }
+
+    /// One of [`CLUSTER_SCALARS`], or `exposure_p50|p90|p99` (window
+    /// upper edge in ticks; `None` before any window has closed).
+    fn series_value(&self, metric: &str) -> Option<u64> {
+        match metric {
+            "full" => return Some(self.full),
+            "degraded" => return Some(self.degraded),
+            "critical" => return Some(self.critical),
+            "lost" => return Some(self.lost),
+            "backlog_chunks" => return Some(self.backlog_chunks),
+            "backlog_bytes" => return Some(self.backlog_bytes),
+            "repair_bytes" => return Some(self.repair_bytes),
+            "drain_bytes" => return Some(self.drain_bytes),
+            "data_at_risk" => return Some(self.data_at_risk),
+            "exposure_windows" => return Some(self.exposure_windows),
+            _ => {}
+        }
+        let stat = metric.strip_prefix("exposure_")?;
+        let (_, q) = EXPOSURE_STATS.iter().find(|(name, _)| *name == stat)?;
+        self.exposure_percentile(*q)
+    }
+
+    fn probe() -> Self {
+        let mut probe = ClusterRollup::empty(0);
+        probe.exposure[0] = 1;
+        probe.exposure_windows = 1;
+        probe
     }
 }
 
@@ -271,20 +270,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn exposure_percentiles_use_nearest_rank() {
-        let mut bins = vec![0u64; EXPOSURE_BUCKETS];
-        // 99 one-tick windows, 1 hundred-tick window.
-        bins[exposure_bucket(1)] = 99;
-        bins[exposure_bucket(100)] = 1;
-        assert_eq!(exposure_percentile(&bins, 500), Some(2));
-        assert_eq!(exposure_percentile(&bins, 900), Some(2));
-        assert_eq!(exposure_percentile(&bins, 990), Some(2)); // rank 99
-        assert_eq!(exposure_percentile(&bins, 999), Some(128)); // rank 100
-        assert_eq!(exposure_percentile(&[0; EXPOSURE_BUCKETS], 500), None);
-        assert_eq!(exposure_percentile(&[], 500), None);
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //! [`LAT_SUB`] linear sub-buckets, so the relative quantization error
 //! of any reported edge is at most `1/LAT_SUB` (12.5%).
 
+use crate::event::TraceEvent;
+use crate::rollup::{nearest_rank, Rollup};
 use serde::{Deserialize, Serialize};
 
 /// Op classes, in rollup record order.
@@ -98,27 +100,6 @@ pub fn bucket_upper_ns(i: usize) -> u64 {
     (LAT_SUB as u64 + sub + 1) << octave
 }
 
-/// Exact nearest-rank percentile from a latency histogram, reported as
-/// the upper edge of the bucket holding the rank-th sample. `q` is in
-/// permille (`990` = p99). `None` on an empty histogram.
-pub fn percentile_ns(bins: &[u64], q_permille: u32) -> Option<u64> {
-    let total: u64 = bins.iter().fold(0u64, |a, &b| a.saturating_add(b));
-    if total == 0 || bins.is_empty() {
-        return None;
-    }
-    let rank = (u128::from(q_permille) * u128::from(total))
-        .div_ceil(1000)
-        .max(1) as u64;
-    let mut cum = 0u64;
-    for (i, &b) in bins.iter().enumerate() {
-        cum = cum.saturating_add(b);
-        if cum >= rank {
-            return Some(bucket_upper_ns(i));
-        }
-    }
-    Some(bucket_upper_ns(bins.len() - 1))
-}
-
 /// Render a nanosecond value as microseconds with fixed precision —
 /// the deterministic human form used by `obsctl` tables.
 pub fn fmt_ns(ns: u64) -> String {
@@ -169,7 +150,7 @@ impl ClassLatency {
 
     /// Nearest-rank percentile (permille), `None` when empty.
     pub fn percentile(&self, q_permille: u32) -> Option<u64> {
-        percentile_ns(&self.bins, q_permille)
+        nearest_rank(&self.bins, q_permille).map(bucket_upper_ns)
     }
 
     /// Element-wise saturating merge.
@@ -235,6 +216,38 @@ impl LatencyRollup {
         for (a, b) in self.classes.iter_mut().zip(&other.classes) {
             a.merge(b);
         }
+    }
+}
+
+impl Rollup for LatencyRollup {
+    fn from_event(event: &TraceEvent) -> Option<&Self> {
+        match event {
+            TraceEvent::LatencyRollup(r) => Some(r),
+            _ => None,
+        }
+    }
+
+    fn day(&self) -> u32 {
+        self.day
+    }
+
+    /// `<class>.<stat>` (e.g. `host_read.p99`), read through
+    /// [`LatencyRollup::stat`]. A rollup with no samples at all answers
+    /// nothing, so its day is a gap in every series.
+    fn series_value(&self, name: &str) -> Option<u64> {
+        if self.is_empty() {
+            return None;
+        }
+        let (class, stat) = name.split_once('.')?;
+        self.stat(class, stat)
+    }
+
+    fn probe() -> Self {
+        let mut probe = LatencyRollup::empty(0);
+        for c in probe.classes.iter_mut() {
+            c.observe(1, 1);
+        }
+        probe
     }
 }
 
@@ -489,23 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_use_nearest_rank() {
-        let mut c = ClassLatency::default();
-        // 99 cheap samples, 1 expensive: p50/p90 report the cheap
-        // bucket, p99 straddles, p999 reports the expensive one.
-        c.observe(50_000, 99);
-        c.observe(3_000_000, 1);
-        let cheap = bucket_upper_ns(lat_bucket(50_000));
-        let dear = bucket_upper_ns(lat_bucket(3_000_000));
-        assert_eq!(c.percentile(500), Some(cheap));
-        assert_eq!(c.percentile(900), Some(cheap));
-        assert_eq!(c.percentile(990), Some(cheap)); // rank 99 of 100
-        assert_eq!(c.percentile(999), Some(dear)); // rank 100
-        assert_eq!(c.mean_ns(), Some((99 * 50_000 + 3_000_000) / 100));
-        assert_eq!(percentile_ns(&[0; LAT_BUCKETS], 500), None);
-    }
-
-    #[test]
     fn cost_model_quantizes_the_timing_defaults() {
         // The flash TimingModel defaults, hand-quantized: tR 50 µs,
         // tPROG 600 µs, tBERS 3 ms, ECC 5 µs, 800 B/µs.
@@ -577,6 +573,16 @@ mod tests {
         assert_eq!(r.stat("host_read", "bogus"), None);
         assert_eq!(r.stat("bogus", "p50"), None);
         assert_eq!(r.stat("gc", "p50"), None); // empty class
+
+        // Series names are `<class>.<stat>`; an all-empty rollup is a
+        // gap in every series, its zero counts included.
+        assert_eq!(
+            r.series_value("host_read.p999"),
+            r.stat("host_read", "p999")
+        );
+        assert_eq!(r.series_value("gc.count"), Some(0));
+        assert_eq!(r.series_value("host_read_p999"), None);
+        assert_eq!(LatencyRollup::empty(43).series_value("gc.count"), None);
         let json = serde_json::to_string(&r).unwrap();
         let back: LatencyRollup = serde_json::from_str(&json).unwrap();
         assert_eq!(r, back);

@@ -40,7 +40,7 @@ pub use latency::{
 pub use live::{Broadcast, LiveObs, ProgressHandle};
 pub use metrics::{Histogram, MetricsHandle, MetricsRegistry};
 pub use profile::{PhaseGuard, PhaseStat, Profiler};
-pub use rollup::{FleetRollup, RollupKernel, DIST_BUCKETS, DIST_NAMES, PERCENTILES};
+pub use rollup::{FleetRollup, Rollup, RollupKernel, DIST_BUCKETS, DIST_NAMES, PERCENTILES};
 pub use strc::{ChunkSummary, EventKind, RotatingStrcWriter, StrcError, StrcReader, StrcWriter};
 pub use trace::{JsonlSink, NullTracer, ParseError, RingRecorder, TraceHandle, Tracer};
 

@@ -325,8 +325,8 @@ pub fn summarize(records: &[TraceRecord]) -> ChunkSummary {
     s
 }
 
-/// Why a `.strc` operation failed: I/O, or a structural problem at a
-/// known byte offset.
+/// Why a `.strc` operation failed: I/O, a structural problem at a
+/// known byte offset, or a record the format cannot hold.
 #[derive(Debug)]
 pub enum StrcError {
     /// The underlying I/O failed.
@@ -337,6 +337,14 @@ pub enum StrcError {
         offset: u64,
         /// What the decoder objected to.
         reason: String,
+    },
+    /// A record field is longer than its u16 length prefix can say;
+    /// the writer refuses the record rather than truncate it.
+    TooLong {
+        /// Which field overflowed.
+        field: &'static str,
+        /// Its length, in elements (bytes for a label).
+        len: usize,
     },
 }
 
@@ -356,6 +364,11 @@ impl fmt::Display for StrcError {
             StrcError::Corrupt { offset, reason } => {
                 write!(f, "corrupt .strc at byte {offset}: {reason}")
             }
+            StrcError::TooLong { field, len } => write!(
+                f,
+                "cannot encode {field}: length {len} exceeds the format's limit of {}",
+                u16::MAX
+            ),
         }
     }
 }
@@ -421,14 +434,20 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn encode_event(event: &TraceEvent, out: &mut Vec<u8>) {
+/// Write `field`'s u16 length prefix, refusing a length that does not
+/// fit.
+fn encode_len(field: &'static str, len: usize, out: &mut Vec<u8>) -> Result<(), StrcError> {
+    let n = u16::try_from(len).map_err(|_| StrcError::TooLong { field, len })?;
+    out.extend_from_slice(&n.to_le_bytes());
+    Ok(())
+}
+
+fn encode_event(event: &TraceEvent, out: &mut Vec<u8>) -> Result<(), StrcError> {
     out.push(EventKind::of(event) as u8);
     match event {
         TraceEvent::RunMarker { label } => {
-            let bytes = label.as_bytes();
-            let len = bytes.len().min(u16::MAX as usize);
-            out.extend_from_slice(&(len as u16).to_le_bytes());
-            out.extend_from_slice(&bytes[..len]);
+            encode_len("RunMarker label", label.len(), out)?;
+            out.extend_from_slice(label.as_bytes());
         }
         TraceEvent::PageTired { fpage, from, to } => {
             out.extend_from_slice(&fpage.to_le_bytes());
@@ -492,17 +511,16 @@ fn encode_event(event: &TraceEvent, out: &mut Vec<u8>) {
             out.extend_from_slice(&r.dying.to_le_bytes());
             out.extend_from_slice(&r.capacity_opages.to_le_bytes());
             for dist in [&r.wear, &r.pec, &r.usable, &r.health] {
-                encode_u32_vec(dist, out);
+                encode_u32_vec(dist, out)?;
             }
         }
         TraceEvent::LatencyRollup(r) => {
             out.extend_from_slice(&r.day.to_le_bytes());
-            let classes = r.classes.len().min(u16::MAX as usize);
-            out.extend_from_slice(&(classes as u16).to_le_bytes());
-            for c in &r.classes[..classes] {
+            encode_len("LatencyRollup classes", r.classes.len(), out)?;
+            for c in &r.classes {
                 out.extend_from_slice(&c.count.to_le_bytes());
                 out.extend_from_slice(&c.total_ns.to_le_bytes());
-                encode_u64_vec(&c.bins, out);
+                encode_u64_vec(&c.bins, out)?;
             }
         }
         TraceEvent::ClusterRollup(r) => {
@@ -521,18 +539,19 @@ fn encode_event(event: &TraceEvent, out: &mut Vec<u8>) {
             ] {
                 out.extend_from_slice(&scalar.to_le_bytes());
             }
-            encode_u32_vec(&r.fullness, out);
-            encode_u64_vec(&r.exposure, out);
+            encode_u32_vec(&r.fullness, out)?;
+            encode_u64_vec(&r.exposure, out)?;
         }
     }
+    Ok(())
 }
 
-fn encode_u32_vec(v: &[u32], out: &mut Vec<u8>) {
-    let len = v.len().min(u16::MAX as usize);
-    out.extend_from_slice(&(len as u16).to_le_bytes());
-    for x in &v[..len] {
+fn encode_u32_vec(v: &[u32], out: &mut Vec<u8>) -> Result<(), StrcError> {
+    encode_len("histogram", v.len(), out)?;
+    for x in v {
         out.extend_from_slice(&x.to_le_bytes());
     }
+    Ok(())
 }
 
 /// A u16-length vector; with `build` false the bytes are only stepped
@@ -550,12 +569,12 @@ fn decode_u32_vec(cur: &mut Cursor<'_>, build: bool) -> Result<Vec<u32>, StrcErr
     })
 }
 
-fn encode_u64_vec(v: &[u64], out: &mut Vec<u8>) {
-    let len = v.len().min(u16::MAX as usize);
-    out.extend_from_slice(&(len as u16).to_le_bytes());
-    for x in &v[..len] {
+fn encode_u64_vec(v: &[u64], out: &mut Vec<u8>) -> Result<(), StrcError> {
+    encode_len("histogram", v.len(), out)?;
+    for x in v {
         out.extend_from_slice(&x.to_le_bytes());
     }
+    Ok(())
 }
 
 /// [`decode_u32_vec`] for u64 elements.
@@ -718,12 +737,14 @@ fn decode_event(cur: &mut Cursor<'_>, mask: u32) -> Result<TraceEvent, StrcError
     })
 }
 
-/// Encode one record onto `out`.
-pub fn encode_record(rec: &TraceRecord, out: &mut Vec<u8>) {
+/// Encode one record onto `out`. A record the format cannot hold is a
+/// [`StrcError::TooLong`], with `out` left as it was.
+pub fn encode_record(rec: &TraceRecord, out: &mut Vec<u8>) -> Result<(), StrcError> {
+    let mark = out.len();
     out.extend_from_slice(&rec.seq.to_le_bytes());
     out.extend_from_slice(&rec.time.day.to_le_bytes());
     out.extend_from_slice(&rec.time.op.to_le_bytes());
-    encode_event(&rec.event, out);
+    encode_event(&rec.event, out).inspect_err(|_| out.truncate(mark))
 }
 
 fn decode_record(cur: &mut Cursor<'_>, mask: u32) -> Result<TraceRecord, StrcError> {
@@ -832,14 +853,18 @@ pub fn decode_chunk(
 }
 
 /// Streaming `.strc` writer: push records, get chunking, summaries,
-/// and the footer index on [`StrcWriter::finish`].
+/// and the footer index on [`StrcWriter::finish`]. Each record is
+/// encoded as it is pushed, so one the format cannot hold is refused
+/// right there and never reaches the file.
 pub struct StrcWriter<W: Write> {
     out: W,
     chunk_records: usize,
-    buf: Vec<TraceRecord>,
+    /// Summary of the open chunk's records.
+    summary: ChunkSummary,
     summaries: Vec<ChunkSummary>,
     /// Bytes written so far (header + finished chunks).
     written: u64,
+    /// Encoded payload of the open chunk.
     scratch: Vec<u8>,
 }
 
@@ -851,17 +876,20 @@ impl<W: Write> StrcWriter<W> {
         Ok(StrcWriter {
             out,
             chunk_records: chunk_records.max(1),
-            buf: Vec::new(),
+            summary: ChunkSummary::default(),
             summaries: Vec::new(),
             written: 8,
             scratch: Vec::new(),
         })
     }
 
-    /// Append one record.
+    /// Append one record. A record with a field the format cannot hold
+    /// is refused with [`StrcError::TooLong`] and leaves the stream as
+    /// it was.
     pub fn push(&mut self, rec: &TraceRecord) -> Result<(), StrcError> {
-        self.buf.push(rec.clone());
-        if self.buf.len() >= self.chunk_records {
+        encode_record(rec, &mut self.scratch)?;
+        self.summary.absorb(rec);
+        if self.summary.records as usize >= self.chunk_records {
             self.flush_chunk()?;
         }
         Ok(())
@@ -873,14 +901,10 @@ impl<W: Write> StrcWriter<W> {
     }
 
     fn flush_chunk(&mut self) -> Result<(), StrcError> {
-        if self.buf.is_empty() {
+        if self.summary.records == 0 {
             return Ok(());
         }
-        let mut summary = summarize(&self.buf);
-        self.scratch.clear();
-        for rec in &self.buf {
-            encode_record(rec, &mut self.scratch);
-        }
+        let mut summary = std::mem::take(&mut self.summary);
         summary.offset = self.written;
         summary.byte_len = self.scratch.len() as u32;
         self.out
@@ -888,7 +912,7 @@ impl<W: Write> StrcWriter<W> {
         self.out.write_all(&self.scratch)?;
         self.written += 4 + self.scratch.len() as u64;
         self.summaries.push(summary);
-        self.buf.clear();
+        self.scratch.clear();
         Ok(())
     }
 
@@ -1386,7 +1410,7 @@ mod tests {
         let records = sample_records(5);
         let mut payload = Vec::new();
         for r in &records {
-            encode_record(r, &mut payload);
+            encode_record(r, &mut payload).unwrap();
         }
         let mut s = summarize(&records);
         s.offset = 8;
@@ -1439,7 +1463,7 @@ mod tests {
         let records = sample_records(5);
         let mut payload = Vec::new();
         for r in &records {
-            encode_record(r, &mut payload);
+            encode_record(r, &mut payload).unwrap();
         }
         let mut s = summarize(&records);
         s.offset = 8;
@@ -1493,7 +1517,7 @@ mod tests {
         let records = sample_records(5);
         let mut payload = Vec::new();
         for r in &records {
-            encode_record(r, &mut payload);
+            encode_record(r, &mut payload).unwrap();
         }
         let mut s = summarize(&records);
         s.offset = 8;
@@ -1689,10 +1713,10 @@ mod tests {
             event,
         };
         let mut bytes = Vec::new();
-        encode_record(&rec, &mut bytes);
+        encode_record(&rec, &mut bytes).unwrap();
         let len = bytes.len();
         // A trailing record: both walks must stop exactly at its start.
-        encode_record(&sample_records(1)[0], &mut bytes);
+        encode_record(&sample_records(1)[0], &mut bytes).unwrap();
         let mut full = Cursor::new(&bytes, 0);
         let built = decode_record(&mut full, ALL_KINDS).unwrap();
         let mut skip = Cursor::new(&bytes, 0);
@@ -1746,7 +1770,7 @@ mod tests {
             .collect();
         let mut payload = Vec::new();
         for r in &records {
-            encode_record(r, &mut payload);
+            encode_record(r, &mut payload).unwrap();
         }
         let mask = EventKind::mask(&[EventKind::PageTired, EventKind::GcPass]);
         let chunk = decode_chunk(&payload, 0, mask).unwrap();
@@ -1847,5 +1871,73 @@ mod tests {
         write_strc(&path, &records, 4096).unwrap();
         assert_eq!(read_strc(&path).unwrap(), records);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn over_long_fields_are_refused_not_truncated() {
+        use crate::latency::{ClassLatency, LatencyRollup};
+        use crate::{ClusterRollup, FleetRollup};
+        const LONG: usize = 70_000;
+        let fleet = FleetRollup {
+            day: 1,
+            alive: 1,
+            dead_wear: 0,
+            dead_afr: 0,
+            dying: 0,
+            capacity_opages: 1,
+            wear: vec![1; LONG],
+            pec: Vec::new(),
+            usable: Vec::new(),
+            health: Vec::new(),
+        };
+        let mut wide = LatencyRollup::empty(1);
+        wide.classes[0].bins = vec![1; LONG];
+        let many = LatencyRollup {
+            day: 1,
+            classes: vec![ClassLatency::default(); LONG],
+        };
+        let mut cluster = ClusterRollup::empty(1);
+        cluster.exposure = vec![1; LONG];
+        let good = sample_records(3);
+        for event in [
+            TraceEvent::RunMarker {
+                label: "x".repeat(LONG),
+            },
+            TraceEvent::FleetRollup(fleet),
+            TraceEvent::LatencyRollup(wide),
+            TraceEvent::LatencyRollup(many),
+            TraceEvent::ClusterRollup(cluster),
+        ] {
+            let bad = TraceRecord {
+                seq: 1,
+                time: SimTime::new(0, 1),
+                event,
+            };
+            let mut out = vec![7u8];
+            assert!(matches!(
+                encode_record(&bad, &mut out),
+                Err(StrcError::TooLong { len: LONG, .. })
+            ));
+            assert_eq!(out, [7], "a refused record leaves the buffer as it was");
+            // write_strc refuses the trace instead of writing a file
+            // that decodes to different records.
+            let path = tmp("too-long.strc");
+            let records = [good[0].clone(), bad.clone(), good[2].clone()];
+            let err = write_strc(&path, &records, 2).unwrap_err();
+            assert!(matches!(err, StrcError::TooLong { .. }), "{err}");
+            assert!(read_strc(&path).is_err(), "no footer, no readable file");
+            // A writer that refused a record stays usable and holds
+            // exactly the records it accepted.
+            let mut w = StrcWriter::new(Vec::new(), 2).unwrap();
+            w.push(&good[0]).unwrap();
+            assert!(matches!(w.push(&bad), Err(StrcError::TooLong { .. })));
+            w.push(&good[2]).unwrap();
+            std::fs::write(&path, w.finish().unwrap()).unwrap();
+            assert_eq!(
+                read_strc(&path).unwrap(),
+                [good[0].clone(), good[2].clone()]
+            );
+            let _ = std::fs::remove_file(&path);
+        }
     }
 }

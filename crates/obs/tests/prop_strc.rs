@@ -287,7 +287,7 @@ proptest! {
         let mut spans = Vec::new();
         for r in &records {
             let start = payload.len();
-            encode_record(r, &mut payload);
+            encode_record(r, &mut payload).unwrap();
             spans.push(start..payload.len());
         }
         for (which, offset, how) in mutations {

@@ -70,6 +70,10 @@ run cargo test --workspace -q
 # The DESIGN.md §9 determinism contract, enforced explicitly: traces
 # and metrics must be byte-identical at any thread count.
 run cargo test --test trace_determinism
+# The benchmark package (perfbench/, its own workspace) calls the
+# workspace crates' APIs: build and test it here, so an API change that
+# breaks it fails CI rather than the benchmark run.
+run cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 # obsctl end-to-end smoke (DESIGN.md §11): trace a real run from a
 # scratch cwd (so its results/ and metrics stay out of the repo), then

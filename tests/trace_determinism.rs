@@ -216,7 +216,7 @@ fn fleet_latency_rollups_are_byte_identical_across_engines_and_thread_counts() {
 fn cluster_rollups_are_byte_identical_and_format_agnostic() {
     use salamander_difs::types::DifsConfig;
     use salamander_fleet::bridge::ClusterHarness;
-    use salamander_health::query;
+    use salamander_health::query::{self, Query, TraceSource};
     use salamander_obs::strc::{write_strc, StrcReader};
     use salamander_obs::{Obs, SimTime, TraceEvent};
 
@@ -277,24 +277,24 @@ fn cluster_rollups_are_byte_identical_and_format_agnostic() {
         std::process::id()
     ));
     write_strc(&path, &records, 64).expect("strc writes");
-    let indexed = |f: &dyn Fn(&mut StrcReader) -> String| {
+    let indexed = |q: Query<'_>| {
         let mut r = StrcReader::open(&path).expect("strc opens");
-        f(&mut r)
+        q.run(TraceSource::Strc(&mut r)).expect("indexed query")
     };
     assert_eq!(
         query::cluster(&records),
-        indexed(&|r| query::cluster_strc(r).expect("cluster query")),
+        indexed(Query::Cluster),
         "obsctl cluster diverges between JSONL and .strc"
     );
     assert_eq!(
         query::exposure(&records),
-        indexed(&|r| query::exposure_strc(r).expect("exposure query")),
+        indexed(Query::Exposure),
         "obsctl exposure diverges between JSONL and .strc"
     );
     let day = last.day;
     assert_eq!(
         query::drill(&records, day),
-        indexed(&|r| query::drill_strc(r, day).expect("drill query")),
+        indexed(Query::Drill(day)),
         "obsctl drill diverges between JSONL and .strc"
     );
     let _ = std::fs::remove_file(&path);
