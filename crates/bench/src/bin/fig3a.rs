@@ -3,102 +3,22 @@
 //! flattening the failure slope.
 //!
 //! Run: `cargo run --release -p salamander-bench --bin fig3a -- --devices 100 --dwpd 5`
-//! Engine: `--engine <cohort|device>` picks the fleet aging engine
-//! (default: the cohort engine; both produce byte-identical output).
 //! Observability: `--trace <path>`, `--metrics`, `--profile`,
 //! `--serve <addr>` (DESIGN.md §9/§12).
 
 use salamander::report::Table;
-use salamander_bench::{arg_or, emit, fleet_engine_arg, ObsArgs};
-use salamander_ecc::profile::Tiredness;
-use salamander_exec::{par_map, Threads};
-use salamander_fleet::device::{StatDeviceConfig, StatMode};
-use salamander_fleet::sim::{FleetConfig, FleetEngine, FleetSim, FleetTimeline, ObservedFleetRun};
-use salamander_obs::{LiveObs, MetricsRegistry, Profiler};
-
-#[allow(clippy::too_many_arguments)]
-fn run(
-    mode: StatMode,
-    engine: FleetEngine,
-    devices: u32,
-    dwpd: f64,
-    horizon: u32,
-    seed: u64,
-    label: &str,
-    profiler: &Profiler,
-    live: Option<&LiveObs>,
-) -> ObservedFleetRun {
-    let device = StatDeviceConfig::datacenter(mode);
-    FleetSim::new(FleetConfig {
-        device,
-        devices,
-        dwpd,
-        dwpd_sigma: 0.25,
-        afr: 0.01,
-        horizon_days: horizon,
-        sample_every_days: 30,
-        seed,
-    })
-    .with_engine(engine)
-    .run_observed_live(Threads::Auto, label, profiler, live)
-}
+use salamander_bench::{emit, fig3_fleets, Fig3Fleets, ObsArgs};
+use salamander_fleet::sim::FleetTimeline;
 
 fn main() {
-    let devices: u32 = arg_or("--devices", 100);
-    let dwpd: f64 = arg_or("--dwpd", 5.0);
-    let horizon: u32 = arg_or("--days", 3650);
-    let seed: u64 = arg_or("--seed", 42);
-    let engine = fleet_engine_arg();
     let obs_args = ObsArgs::parse();
     let profiler = obs_args.profiler();
     let session = obs_args.serve_session("fig3a");
-
-    let modes = [
-        ("Baseline", StatMode::Baseline),
-        ("ShrinkS", StatMode::Shrink),
-        (
-            "RegenS",
-            StatMode::Regen {
-                max_level: Tiredness::L1,
-            },
-        ),
-    ];
-    // The three fleets are independent; fan out on the exec engine
-    // (thread count from SALAMANDER_THREADS, deterministic output).
-    // Each fleet's trace/metrics shard is derived post-merge, so the
-    // concatenation below is thread-count invariant.
-    let prof = profiler.clone();
-    let live = session.as_ref().map(|s| s.live.clone());
-    let observed: Vec<(&str, ObservedFleetRun)> =
-        par_map(Threads::Auto, &modes, move |_, (name, m)| {
-            let label = format!("fleet={name}");
-            (
-                *name,
-                run(
-                    *m,
-                    engine,
-                    devices,
-                    dwpd,
-                    horizon,
-                    seed,
-                    &label,
-                    &prof,
-                    live.as_ref(),
-                ),
-            )
-        });
-    let mut trace = Vec::new();
-    let mut metrics = MetricsRegistry::default();
-    let mut runs: Vec<(&str, FleetTimeline)> = Vec::with_capacity(observed.len());
-    for (name, o) in observed {
-        if let Some(s) = &session {
-            s.publish_rollups(&format!("fleet={name}"), &o.rollups);
-            s.publish_latency(&format!("fleet={name}"), &o.latency);
-        }
-        trace.extend(o.trace);
-        metrics.merge(&o.metrics.relabelled(&format!("fleet=\"{name}\"")));
-        runs.push((name, o.timeline));
-    }
+    let Fig3Fleets {
+        runs,
+        trace,
+        metrics,
+    } = fig3_fleets(&profiler, session.as_ref());
 
     let mut table = Table::new(
         "Fig. 3a — functioning SSDs over time",

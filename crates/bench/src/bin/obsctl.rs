@@ -24,7 +24,7 @@
 //!
 //! Every query is a pure function in `salamander_health::query` (or a
 //! [`HealthMonitor`] fold); this binary only parses argv, reads files,
-//! and prints. Parse failures surface the typed [`ParseError`] — line
+//! and prints. Parse failures surface the typed [`ParseError`](salamander_obs::trace::ParseError) — line
 //! number and offending snippet — and exit 2.
 
 use salamander_bench::has_flag;

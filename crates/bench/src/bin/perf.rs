@@ -1,25 +1,36 @@
-//! Perf-regression harness: times the FTL hot path, the `lifetime
-//! --modes-only` end-to-end run, and the warehouse-scale fleet engine,
-//! writing `BENCH_ftl_micro.json`, `BENCH_lifetime.json`, and
-//! `BENCH_fleet_scale.json` (medians, machine+thread metadata) for
+//! Perf-regression harness: times the per-layer micro benches (BCH
+//! codec, flash ops, FTL ops and hot path, diFS recovery), the
+//! `lifetime --modes-only` end-to-end run, and the warehouse-scale
+//! fleet engine, writing `BENCH_ftl_micro.json`, `BENCH_lifetime.json`,
+//! and `BENCH_fleet_scale.json` (medians, machine+thread metadata) for
 //! `scripts/bench.sh` to gate against.
 //!
 //! Flags: `--runs N` (default 20), `--micro-only`, `--e2e-only`,
 //! `--fleet-only`, `--fleet-runs N` (default 5), `--fleet-full`
-//! (adds the 100k-device mode sweep, the 100k legacy reference, and
-//! the 1M-device entry — minutes of wall clock),
+//! (adds the 100k-device mode sweep and the 1M-device entries —
+//! minutes of wall clock),
 //! `--out DIR` (default: current directory — run from the repo root).
 
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use salamander::config::{Mode, SsdConfig};
 use salamander::device::{BatchStop, SalamanderSsd};
-use salamander_bench::perf::{bench, bench_cold, BenchReport};
+use salamander_bench::perf::{bench, bench_cold, bench_setup, BenchReport};
 use salamander_bench::{arg_or, has_flag};
+use salamander_difs::cluster::Cluster;
+use salamander_difs::store::ChunkStore;
+use salamander_difs::types::{DeviceId, DifsConfig};
+use salamander_ecc::bch::Bch;
 use salamander_ecc::profile::Tiredness;
 use salamander_exec::Threads;
+use salamander_flash::array::FlashArray;
 use salamander_flash::geometry::FlashGeometry;
+use salamander_flash::rber::RberModel;
 use salamander_fleet::device::{StatDeviceConfig, StatMode};
 use salamander_fleet::sim::{FleetConfig, FleetEngine, FleetSim};
-use salamander_ftl::types::{Lba, MdiskId};
+use salamander_ftl::ftl::Ftl;
+use salamander_ftl::types::{FtlConfig, FtlMode, Lba, MdiskId};
+use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -133,7 +144,246 @@ fn micro(runs: u32) -> BenchReport {
         churn(&mut ssd, seed, GC_OPS);
         (ssd.stats().gc_runs - before).max(1)
     }));
+
+    bch_codec(&mut report, runs);
+    flash_ops(&mut report, runs);
+    ftl_ops(&mut report, runs);
+    difs_recovery(&mut report, runs);
     report
+}
+
+/// Per-op entries repeat their operation this many times per timed
+/// run, so `median_ns_per_iter` is the cost of one operation.
+const OPS_PER_RUN: u64 = 1000;
+
+/// A random codeword of `code` with exactly `errors` distinct bits
+/// flipped.
+fn codeword_with_errors(code: &Bch, errors: usize, rng: &mut ChaCha8Rng) -> Vec<bool> {
+    let data: Vec<bool> = (0..code.data_bits()).map(|_| rng.gen()).collect();
+    let mut cw = code.encode(&data);
+    let mut flipped = std::collections::HashSet::new();
+    while flipped.len() < errors {
+        flipped.insert(rng.gen_range(0..code.codeword_bits()));
+    }
+    for &p in &flipped {
+        cw[p] = !cw[p];
+    }
+    cw
+}
+
+/// The real BCH codec at flash-controller scale: the paper's L0
+/// configuration (1 KiB chunk + 128 B parity, GF(2^14), t = 73) and
+/// the L1 configuration (512 B parity per chunk, t = 292), for encode,
+/// clean decode, and worst-case decode (t errors). Each decode gets a
+/// fresh codeword copy, made outside the timer.
+fn bch_codec(report: &mut BenchReport, runs: u32) {
+    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    for (label, m, t, k) in [
+        ("L0_t73", 14u32, 73u32, 8192usize),
+        ("L1_t292", 14, 292, 8192),
+    ] {
+        let code = Bch::new_shortened(m, t, k).expect("code constructs");
+        let data: Vec<bool> = (0..code.data_bits()).map(|_| rng.gen()).collect();
+        report
+            .results
+            .push(bench(&format!("bch_encode_{label}"), runs, |_| {
+                black_box(code.encode(&data));
+                1
+            }));
+        let clean = code.encode(&data);
+        report.results.push(bench_setup(
+            &format!("bch_decode_clean_{label}"),
+            runs,
+            |_| clean.clone(),
+            |mut cw| {
+                let _ = black_box(code.decode(&mut cw));
+                1
+            },
+        ));
+        let dirty = codeword_with_errors(&code, t as usize, &mut rng);
+        report.results.push(bench_setup(
+            &format!("bch_decode_t_errors_{label}"),
+            runs,
+            |_| dirty.clone(),
+            |mut cw| {
+                black_box(code.decode(&mut cw).unwrap());
+                1
+            },
+        ));
+    }
+}
+
+/// Raw flash-simulator operation rates (program, read with error
+/// injection, erase) — the substrate cost that bounds every
+/// higher-level simulation.
+fn flash_ops(report: &mut BenchReport, runs: u32) {
+    let geom = FlashGeometry::medium();
+
+    let mut a = FlashArray::new(geom, RberModel::default(), 1);
+    let block = geom.block_of(geom.fpage_addr(0, 0, 0));
+    report
+        .results
+        .push(bench("flash_program_erase_cycle", runs, |_| {
+            for fp in geom.fpages_in(block) {
+                a.program(fp, None).unwrap();
+            }
+            a.erase(block).unwrap();
+            1
+        }));
+
+    let mut a = FlashArray::new(geom, RberModel::fast_wear(), 2);
+    let fp = geom.fpage_addr(0, 0, 0);
+    let block = geom.block_of(fp);
+    for _ in 0..40 {
+        a.program(fp, None).unwrap();
+        a.erase(block).unwrap();
+    }
+    a.program(fp, None).unwrap();
+    report
+        .results
+        .push(bench("flash_read_worn_page", runs, |_| {
+            for _ in 0..OPS_PER_RUN {
+                black_box(a.read(fp).unwrap().raw_bit_errors);
+            }
+            OPS_PER_RUN
+        }));
+
+    let mut a = FlashArray::new(geom, RberModel::fast_wear(), 3);
+    let fp = geom.fpage_addr(0, 1, 0);
+    let block = geom.block_of(fp);
+    let buf = vec![0xA5u8; (geom.fpage_data_bytes + geom.fpage_spare_bytes) as usize];
+    for _ in 0..40 {
+        a.program(fp, None).unwrap();
+        a.erase(block).unwrap();
+    }
+    a.program(fp, Some(&buf)).unwrap();
+    report
+        .results
+        .push(bench("flash_read_with_data_corruption", runs, |_| {
+            for _ in 0..OPS_PER_RUN {
+                black_box(a.read(fp).unwrap().data);
+            }
+            OPS_PER_RUN
+        }));
+}
+
+/// An FTL on medium geometry with default (slow) wear, so GC dominates
+/// rather than death, with most of its logical space written once.
+fn prepared_ftl(mode: FtlMode) -> Ftl {
+    let mut cfg = FtlConfig::medium(mode);
+    cfg.rber = RberModel::default();
+    let mut ftl = Ftl::new(cfg);
+    for m in ftl.active_mdisks() {
+        let lbas = ftl.mdisk_lbas(m).unwrap();
+        for lba in 0..lbas {
+            ftl.write(m, Lba(lba), None).unwrap();
+        }
+    }
+    ftl
+}
+
+/// Host-facing FTL operation rates per personality: steady-state write
+/// cost (including buffering, GC, and the capacity protocol) and read
+/// cost. Each personality's FTL is prepared once, outside the timer.
+fn ftl_ops(report: &mut BenchReport, runs: u32) {
+    for (label, mode) in [
+        ("baseline", FtlMode::Baseline),
+        ("shrink", FtlMode::Shrink),
+        ("regen", FtlMode::Regen),
+    ] {
+        let mut ftl = prepared_ftl(mode);
+        let mut x = 0x9E3779B97F4A7C15u64;
+        let mut xorshift = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        report.results.push(bench(
+            &format!("ftl_steady_state_write_{label}"),
+            runs,
+            |_| {
+                for _ in 0..OPS_PER_RUN {
+                    let mdisks = ftl.active_mdisks();
+                    let x = xorshift();
+                    let m = mdisks[(x as usize / 7) % mdisks.len()];
+                    let lbas = ftl.mdisk_lbas(m).unwrap();
+                    ftl.write(m, Lba((x % lbas as u64) as u32), None).unwrap();
+                }
+                OPS_PER_RUN
+            },
+        ));
+        let m = ftl.active_mdisks()[0];
+        report
+            .results
+            .push(bench(&format!("ftl_read_{label}"), runs, |_| {
+                for _ in 0..OPS_PER_RUN {
+                    let x = xorshift();
+                    let lbas = ftl.mdisk_lbas(m).unwrap();
+                    black_box(ftl.read(m, Lba((x % lbas as u64) as u32)).ok());
+                }
+                OPS_PER_RUN
+            }));
+    }
+}
+
+/// A diFS cluster of `nodes` nodes × `units_per_node` units of `cap`
+/// chunks each, filled to ~60%.
+fn difs_cluster(nodes: u32, units_per_node: u32, cap: u32) -> (Cluster, ChunkStore) {
+    let mut cluster = Cluster::new();
+    for _ in 0..nodes {
+        let n = cluster.add_node();
+        let d = cluster.add_device(n);
+        for _ in 0..units_per_node {
+            cluster.add_unit(d, cap);
+        }
+    }
+    let mut store = ChunkStore::new(DifsConfig::default());
+    let target = cluster.alive_capacity() * 6 / 10 / 3;
+    for _ in 0..target {
+        if store.create_chunk(&mut cluster).is_err() {
+            break;
+        }
+    }
+    (cluster, store)
+}
+
+/// diFS re-replication cost per failed unit — the control-plane work
+/// Salamander multiplies (many small failures instead of one big
+/// one). Each run gets a fresh cluster, built outside the timer.
+fn difs_recovery(report: &mut BenchReport, runs: u32) {
+    report.results.push(bench_setup(
+        "difs_fail_one_minidisk_unit",
+        runs,
+        |_| difs_cluster(8, 32, 4),
+        |(mut cluster, mut store)| {
+            let victim = cluster.alive_units().next().map(|(id, _)| id).unwrap();
+            store.fail_unit(&mut cluster, victim);
+            black_box(store.metrics().recovery_bytes);
+            1
+        },
+    ));
+    report.results.push(bench_setup(
+        "difs_fail_whole_device",
+        runs,
+        |_| difs_cluster(8, 32, 4),
+        |(mut cluster, mut store)| {
+            store.fail_device(&mut cluster, DeviceId(0));
+            black_box(store.metrics().recovery_bytes);
+            1
+        },
+    ));
+    report.results.push(bench_setup(
+        "difs_create_chunk",
+        runs,
+        |_| difs_cluster(8, 32, 64),
+        |(mut cluster, mut store)| {
+            for _ in 0..100 {
+                store.create_chunk(&mut cluster).unwrap();
+            }
+            1
+        },
+    ));
 }
 
 /// End-to-end suite: wall-clock of the `lifetime --modes-only` harness
@@ -166,8 +416,8 @@ fn end_to_end(runs: u32) -> BenchReport {
     report
 }
 
-/// Fleet-scale suite (ISSUE 6): the cohort engine at 10k/100k/1M
-/// devices × 5 simulated years, plus the legacy per-device path as
+/// Fleet-scale suite: the cohort engine at 10k/100k/1M devices × 5
+/// simulated years, plus the per-device reference engine at 10k as
 /// the speedup reference. Small-geometry devices (the fleet unit
 /// tests' configuration) keep per-device state at 2 KiB so the 1M
 /// entry fits comfortably in memory; `iters_per_run` is the device
@@ -240,9 +490,9 @@ fn fleet_scale(runs: u32, full: bool) -> BenchReport {
         runs,
         true,
     );
-    // The headline pair at probe scale, then at the 100k acceptance
-    // scale (the legacy 100k reference is behind --fleet-full: one
-    // run is minutes of wall clock).
+    // The headline pair at probe scale (the per-device reference
+    // engine prices the cohort speedup), then the cohort engine at the
+    // 100k acceptance scale.
     run(
         "fleet_cohort_10k_regen3_dwpd1",
         10_000,
@@ -287,15 +537,6 @@ fn fleet_scale(runs: u32, full: bool) -> BenchReport {
             5.0,
             Cohort,
             runs.min(2),
-            false,
-        );
-        run(
-            "fleet_device_100k_regen3_dwpd1",
-            100_000,
-            regen3,
-            1.0,
-            PerDevice,
-            1,
             false,
         );
         run(

@@ -6,20 +6,19 @@
 //! overlap; the fleet device turns it into capacity-over-lifetime curves.
 //!
 //! Run: `cargo run --release -p salamander-bench --bin zombie`
-//! Engine: `--engine <cohort|device>` ages the device via the columnar
-//! cohort engine or the reference `StatDevice` (identical output).
+//! The device ages on the columnar cohort engine, which is
+//! byte-identical to the reference `StatDevice` (crates/fleet/src/cohort.rs).
 //! Observability: `--trace <path>`, `--metrics`, `--profile`,
 //! `--serve <addr>` (DESIGN.md §9/§12).
 
 use salamander::report::{fmt, Table};
-use salamander_bench::{emit, fleet_engine_arg, task_obs, ObsArgs};
+use salamander_bench::{emit, task_obs, ObsArgs};
 use salamander_ecc::profile::Tiredness;
 use salamander_exec::{par_map, Threads};
 use salamander_flash::geometry::FlashGeometry;
 use salamander_flash::voltage::{CellMode, VoltageModel};
 use salamander_fleet::cohort::Cohort;
-use salamander_fleet::device::{StatDevice, StatDeviceConfig, StatMode};
-use salamander_fleet::sim::FleetEngine;
+use salamander_fleet::device::{StatDeviceConfig, StatMode};
 use salamander_obs::{DeathCause, MetricsRegistry, SimTime, TraceEvent};
 
 fn main() {
@@ -58,7 +57,6 @@ fn main() {
         "Device lifetime with cell-mode rebirth (RegenS cap L1)",
         &["configuration", "host writes to death", "vs RegenS alone"],
     );
-    let engine = fleet_engine_arg();
     let prof = profiler.clone();
     let live = session.as_ref().map(|s| s.live.clone());
     let want_trace = obs_args.trace();
@@ -79,43 +77,28 @@ fn main() {
         progress.add_devices(1);
         let _phase = prof.phase("zombie/age_device");
         let mut total = 0u64;
-        // Both engines step the identical statistical model; the table
-        // is byte-identical either way (see crates/fleet/src/cohort.rs).
-        let died = match engine {
-            FleetEngine::PerDevice => {
-                let mut d = StatDevice::new(cfg, 42);
-                while !d.is_dead() && total < CAP {
-                    d.apply_writes(STEP);
-                    total += STEP;
-                    progress.add_ops(STEP);
-                }
-                d.is_dead()
+        let mut c = Cohort::new(cfg, &[42]);
+        c.set_daily_writes(0, STEP);
+        // Deposit the step-loop time under the same phase name the
+        // fleet engine uses, so `--profile` shows where the cohort's
+        // next_check floors spend their wall clock even on this
+        // single-device endurance loop.
+        let timing = prof.is_enabled();
+        let mut t_step = (0u64, std::time::Duration::ZERO);
+        while !c.is_dead(0) && total < CAP {
+            if timing {
+                let start = std::time::Instant::now();
+                c.step(0);
+                t_step.0 += 1;
+                t_step.1 += start.elapsed();
+            } else {
+                c.step(0);
             }
-            FleetEngine::Cohort => {
-                let mut c = Cohort::new(cfg, &[42]);
-                c.set_daily_writes(0, STEP);
-                // Deposit the step-loop time under the same phase name
-                // the fleet engine uses, so `--profile` shows where the
-                // cohort's next_check floors spend their wall clock
-                // even on this single-device endurance loop.
-                let timing = prof.is_enabled();
-                let mut t_step = (0u64, std::time::Duration::ZERO);
-                while !c.is_dead(0) && total < CAP {
-                    if timing {
-                        let start = std::time::Instant::now();
-                        c.step(0);
-                        t_step.0 += 1;
-                        t_step.1 += start.elapsed();
-                    } else {
-                        c.step(0);
-                    }
-                    total += STEP;
-                    progress.add_ops(STEP);
-                }
-                prof.record("cohort/next_check_step", t_step.0, t_step.1);
-                c.is_dead(0)
-            }
-        };
+            total += STEP;
+            progress.add_ops(STEP);
+        }
+        prof.record("cohort/next_check_step", t_step.0, t_step.1);
+        let died = c.is_dead(0);
         progress.device_done();
         obs.metrics
             .inc("salamander_zombie_host_writes_total", total);

@@ -5,6 +5,10 @@
 //! table to stdout and writing a CSV under `results/` for plotting.
 
 use salamander::report::Table;
+use salamander_ecc::profile::Tiredness;
+use salamander_exec::{par_map, Threads};
+use salamander_fleet::device::{StatDeviceConfig, StatMode};
+use salamander_fleet::sim::{FleetConfig, FleetSim, FleetTimeline};
 use salamander_obs::{trace, LiveObs, MetricsRegistry, Obs, Profiler, TraceRecord};
 use salamander_telemetry::{TelemetryHub, TelemetryServer};
 use std::path::PathBuf;
@@ -30,25 +34,6 @@ pub fn emit(name: &str, table: &Table) {
     }
 }
 
-/// Parse the `--engine <cohort|device>` flag shared by the fleet bins
-/// (fig3a, fig3b, zombie): explicit flag wins, otherwise the
-/// `SALAMANDER_FLEET_ENGINE` selection (default: cohort). Unknown
-/// spellings abort with a usage error rather than silently running the
-/// wrong engine.
-pub fn fleet_engine_arg() -> salamander_fleet::FleetEngine {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--engine") {
-        None => salamander_fleet::FleetEngine::from_env(),
-        Some(i) => {
-            let raw = args.get(i + 1).map(String::as_str).unwrap_or("");
-            salamander_fleet::FleetEngine::parse(raw).unwrap_or_else(|| {
-                eprintln!("error: unknown --engine '{raw}' (expected 'cohort' or 'device')");
-                std::process::exit(2);
-            })
-        }
-    }
-}
-
 /// Parse a `--flag value` style argument, returning `default` when absent.
 pub fn arg_or<T: std::str::FromStr>(flag: &str, default: T) -> T {
     let args: Vec<String> = std::env::args().collect();
@@ -57,6 +42,77 @@ pub fn arg_or<T: std::str::FromStr>(flag: &str, default: T) -> T {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
+}
+
+/// The three fleets of Fig. 3a/3b, merged in mode order.
+pub struct Fig3Fleets {
+    /// One timeline per fleet: Baseline, ShrinkS, RegenS.
+    pub runs: Vec<(&'static str, FleetTimeline)>,
+    /// The fleets' traces, concatenated in mode order.
+    pub trace: Vec<TraceRecord>,
+    /// The fleets' metrics, relabelled `fleet="<mode>"` and merged.
+    pub metrics: MetricsRegistry,
+}
+
+/// Run the fleets `fig3a` and `fig3b` share: Baseline, ShrinkS and
+/// RegenS (capped at L1) datacenter devices under `--devices` (100),
+/// `--dwpd` (5), `--days` (3650) and `--seed` (42), σ 0.25, 1% AFR,
+/// sampled every 30 days. The three fleets are independent, so they
+/// fan out on the exec engine (thread count from `SALAMANDER_THREADS`);
+/// each fleet's telemetry shard is derived post-merge and the shards
+/// merge in mode order, so the output is thread-count invariant. Each
+/// fleet's rollups are published to `session`, if any.
+pub fn fig3_fleets(profiler: &Profiler, session: Option<&ServeSession>) -> Fig3Fleets {
+    let devices: u32 = arg_or("--devices", 100);
+    let dwpd: f64 = arg_or("--dwpd", 5.0);
+    let horizon: u32 = arg_or("--days", 3650);
+    let seed: u64 = arg_or("--seed", 42);
+    let modes = [
+        ("Baseline", StatMode::Baseline),
+        ("ShrinkS", StatMode::Shrink),
+        (
+            "RegenS",
+            StatMode::Regen {
+                max_level: Tiredness::L1,
+            },
+        ),
+    ];
+    let live = session.map(|s| s.live.clone());
+    let observed = par_map(Threads::Auto, &modes, |_, &(name, mode)| {
+        FleetSim::new(FleetConfig {
+            device: StatDeviceConfig::datacenter(mode),
+            devices,
+            dwpd,
+            dwpd_sigma: 0.25,
+            afr: 0.01,
+            horizon_days: horizon,
+            sample_every_days: 30,
+            seed,
+        })
+        .run_observed_live(
+            Threads::Auto,
+            &format!("fleet={name}"),
+            profiler,
+            live.as_ref(),
+        )
+    });
+    let mut fleets = Fig3Fleets {
+        runs: Vec::with_capacity(modes.len()),
+        trace: Vec::new(),
+        metrics: MetricsRegistry::default(),
+    };
+    for ((name, _), o) in modes.into_iter().zip(observed) {
+        if let Some(s) = session {
+            s.publish_rollups(&format!("fleet={name}"), &o.rollups);
+            s.publish_latency(&format!("fleet={name}"), &o.latency);
+        }
+        fleets.trace.extend(o.trace);
+        fleets
+            .metrics
+            .merge(&o.metrics.relabelled(&format!("fleet=\"{name}\"")));
+        fleets.runs.push((name, o.timeline));
+    }
+    fleets
 }
 
 /// Whether a bare `--flag` is present.

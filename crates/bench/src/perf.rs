@@ -1,10 +1,10 @@
 //! Std-only micro-bench runner emitting machine-readable `BENCH_*.json`.
 //!
-//! The perf-regression harness (ISSUE 3, thrust 4): no external bench
-//! framework, just `Instant` timing with enough repetitions to make the
-//! median stable on a noisy container. Each [`BenchResult`] records the
-//! per-run medians plus machine and thread metadata so future PRs can
-//! gate against a real trajectory (`scripts/bench.sh --check`).
+//! The workspace's one bench harness: no external bench framework,
+//! just `Instant` timing with enough repetitions to make the median
+//! stable on a noisy container. Each [`BenchResult`] records the
+//! per-run medians plus machine and thread metadata so later changes
+//! can gate against a real trajectory (`scripts/bench.sh --check`).
 
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -121,15 +121,28 @@ pub fn bench<F: FnMut(u32) -> u64>(name: &str, runs: u32, mut f: F) -> BenchResu
     bench_cold(name, runs, f)
 }
 
-/// [`bench`] without the untimed warm-up — for heavyweight end-to-end
+/// [`bench()`] without the untimed warm-up — for heavyweight end-to-end
 /// entries (100k–1M-device fleets) where a run takes tens of seconds
 /// and cold-start effects are negligible relative to run length.
-pub fn bench_cold<F: FnMut(u32) -> u64>(name: &str, runs: u32, mut f: F) -> BenchResult {
+pub fn bench_cold<F: FnMut(u32) -> u64>(name: &str, runs: u32, f: F) -> BenchResult {
+    bench_setup(name, runs, |run| run, f)
+}
+
+/// The timing loop behind every entry: per run, build `setup(run)`
+/// outside the timer, then time `routine` on it. `routine` returns the
+/// number of work items it performed.
+pub fn bench_setup<I>(
+    name: &str,
+    runs: u32,
+    mut setup: impl FnMut(u32) -> I,
+    mut routine: impl FnMut(I) -> u64,
+) -> BenchResult {
     let mut samples = Vec::with_capacity(runs as usize);
     let mut iters = Vec::with_capacity(runs as usize);
     for run in 0..runs {
+        let input = setup(run);
         let start = Instant::now();
-        let n = f(run).max(1);
+        let n = routine(input).max(1);
         samples.push(start.elapsed().as_nanos() as u64);
         iters.push(n);
     }
@@ -169,6 +182,18 @@ mod tests {
         assert_eq!(r.runs, 5);
         assert_eq!(r.iters_per_run, 1000);
         assert!(r.min_ns <= r.median_ns && r.median_ns <= r.max_ns);
+    }
+
+    #[test]
+    fn setup_runs_outside_the_timer() {
+        let r = bench_setup(
+            "setup",
+            3,
+            |_| std::thread::sleep(std::time::Duration::from_millis(20)),
+            |()| 1,
+        );
+        assert_eq!(r.runs, 3);
+        assert!(r.max_ns < 20_000_000, "setup was timed: {r:?}");
     }
 
     #[test]

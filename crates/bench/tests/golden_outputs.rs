@@ -91,31 +91,3 @@ fn seeded_csvs_match_checked_in_goldens_four_threads() {
         assert_golden(bin, &[], "4", &outputs);
     }
 }
-
-/// ISSUE 6: the fleet engine switch must not shift a single byte.
-/// Both engines, spelled out explicitly, reproduce the same checked-in
-/// fig3a/fig3b goldens (the no-arg cases above already cover the
-/// default). Thread counts are crossed with engines so each engine is
-/// exercised serial and sharded without doubling the suite's runtime.
-#[test]
-fn fig3_goldens_are_engine_independent() {
-    for (engine, threads) in [
-        ("device", "1"),
-        ("cohort", "4"),
-        ("device", "4"),
-        ("cohort", "1"),
-    ] {
-        assert_golden(
-            env!("CARGO_BIN_EXE_fig3a"),
-            &["--engine", engine],
-            threads,
-            &["fig3a.csv"],
-        );
-        assert_golden(
-            env!("CARGO_BIN_EXE_fig3b"),
-            &["--engine", engine],
-            threads,
-            &["fig3b.csv"],
-        );
-    }
-}

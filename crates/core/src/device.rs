@@ -185,11 +185,6 @@ impl SalamanderSsd {
         self.ftl.ack_decommission(id)
     }
 
-    /// Minidisks currently draining (readable, awaiting acknowledgement).
-    pub fn draining_minidisks(&self) -> Vec<MdiskId> {
-        self.ftl.draining_mdisks()
-    }
-
     /// Whether notifications are waiting in [`Self::poll_events`].
     /// Allocation-free, for hot loops that only drain on activity.
     pub fn has_pending_events(&self) -> bool {

@@ -1,6 +1,6 @@
 //! The file namespace: an HDFS-style "namenode" over the chunk store.
 //!
-//! The paper's diFS "logically partition[s]" data "into equally-sized
+//! The paper's diFS "logically partition\[s\]" data "into equally-sized
 //! access units (e.g., an HDFS 128 MB block) which are stored
 //! redundantly" (§3). [`Namespace`] provides the file abstraction on top:
 //! paths map to ordered chunk lists, byte offsets map to chunks, and file

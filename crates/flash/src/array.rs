@@ -77,20 +77,9 @@ impl FlashArray {
         }
     }
 
-    /// Replace the timing model.
-    pub fn with_timing(mut self, timing: TimingModel) -> Self {
-        self.timing = timing;
-        self
-    }
-
     /// The device geometry.
     pub fn geometry(&self) -> &FlashGeometry {
         &self.geom
-    }
-
-    /// The wear model.
-    pub fn rber_model(&self) -> &RberModel {
-        &self.model
     }
 
     /// The timing model.
@@ -237,19 +226,6 @@ impl FlashArray {
     pub fn projected_rber(&self, fp: FPageAddr) -> f64 {
         let block = self.geom.block_of(fp);
         self.mean_lut.mean_rber(self.pec(block)) * self.variance(fp)
-    }
-
-    /// [`Self::projected_rber`] with the block's mean RBER already in
-    /// hand — lets block-granular callers (reclassification, SMART)
-    /// hoist the per-block lookup out of their per-page loop.
-    pub fn projected_rber_with_mean(&self, mean: f64, fp: FPageAddr) -> f64 {
-        mean * self.variance(fp)
-    }
-
-    /// The memoized block-mean RBER at `pec` (bit-exact; see
-    /// [`MeanRberLut`]).
-    pub fn mean_rber_at(&self, pec: u32) -> f64 {
-        self.mean_lut.mean_rber(pec)
     }
 
     /// Lifecycle state of an fPage.

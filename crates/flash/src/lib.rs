@@ -16,7 +16,7 @@
 //! - [`chip`] — a functional flash chip: program/erase state machine,
 //!   per-page wear state, bad-block marks, data storage.
 //! - [`timing`] — first-order latency/throughput accounting.
-//! - [`array`] — a multi-chip assembly with channel/die parallelism, the
+//! - [`array`](mod@array) — a multi-chip assembly with channel/die parallelism, the
 //!   unit an FTL drives.
 //!
 //! All randomness is seeded; identical seeds give identical simulations.

@@ -194,7 +194,7 @@ const MEAN_RBER_LUT_MAX_PEC: u32 = 1 << 17;
 /// PEC, the bit-exact result of calling [`RberModel::mean_rber`] at
 /// that PEC. There is **no interpolation**: a lookup either returns a
 /// value produced by the original expression or (past
-/// [`MEAN_RBER_LUT_MAX_PEC`]) evaluates the original expression
+/// `MEAN_RBER_LUT_MAX_PEC`) evaluates the original expression
 /// directly. That is the exact-match guard the determinism contract
 /// needs — a cached read can never differ in even one ULP from the
 /// uncached one, so no retirement decision can shift (see DESIGN.md

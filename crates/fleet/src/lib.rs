@@ -16,7 +16,8 @@
 //!   fleets.
 //! - [`sim`] — [`sim::FleetSim`]: N devices × DWPD aging × random (AFR)
 //!   failures → the Fig. 3a (functioning devices) and Fig. 3b (available
-//!   capacity) time series, via either engine ([`sim::FleetEngine`]).
+//!   capacity) time series, aged by the cohort engine (the per-device
+//!   engine in [`sim::FleetEngine`] is its test oracle).
 //! - [`perf`] — the §4.2 performance model: sequential-throughput and
 //!   large-random-latency degradation as fPages migrate to L1
 //!   (Fig. 3c/3d).

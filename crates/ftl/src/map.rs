@@ -187,11 +187,6 @@ impl MdiskTable {
         id
     }
 
-    /// Backing level of a minidisk, if active or draining.
-    pub fn mdisk_level(&self, id: MdiskId) -> Option<Tiredness> {
-        self.mdisks.get(id).map(|m| m.level)
-    }
-
     /// Active (non-draining) minidisk ids, ascending.
     pub fn active_mdisks(&self) -> Vec<MdiskId> {
         let mut out = Vec::new();

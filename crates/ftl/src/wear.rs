@@ -130,11 +130,6 @@ impl WearTracker {
         self.counts[4]
     }
 
-    /// Total tracked pages.
-    pub fn total_pages(&self) -> u64 {
-        self.levels.len() as u64
-    }
-
     /// Highest level pages may occupy.
     pub fn max_level(&self) -> Tiredness {
         Tiredness::from_index(self.max_level)

@@ -132,11 +132,6 @@ impl WearForecaster {
         }
     }
 
-    /// Whether rates exist yet (at least two monotone samples folded).
-    pub fn is_primed(&self) -> bool {
-        self.headroom_rate.get().is_some()
-    }
-
     /// Ticks until the current headroom is consumed — the projected
     /// next forced minidisk decommission (shrink). `None` when no
     /// consumption has been observed.

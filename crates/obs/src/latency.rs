@@ -76,7 +76,7 @@ impl LatClass {
 /// Histogram bucket for a nanosecond value. Values `< LAT_SUB` map to
 /// their own exact bucket; above that, bucket
 /// `LAT_SUB + octave·LAT_SUB + sub` where `sub` is the next
-/// [`LAT_SUB_BITS`] bits after the leading one. Monotone in `ns`,
+/// `LAT_SUB_BITS` bits after the leading one. Monotone in `ns`,
 /// clamped to the last bucket.
 pub fn lat_bucket(ns: u64) -> usize {
     if ns < LAT_SUB as u64 {

@@ -140,12 +140,6 @@ impl Broadcast {
         lock.lock().expect("broadcast lock").closed = true;
         cond.notify_all();
     }
-
-    /// Whether [`Broadcast::close`] was called.
-    pub fn is_closed(&self) -> bool {
-        let (lock, _) = &*self.inner;
-        lock.lock().expect("broadcast lock").closed
-    }
 }
 
 impl fmt::Debug for Broadcast {

@@ -30,6 +30,8 @@
 //! The server holds no locks while blocked on I/O except the bounded
 //! condvar wait inside [`Broadcast::poll_after`], and it cannot slow
 //! the simulation beyond momentary mirror-lock contention.
+//!
+//! [`Broadcast::poll_after`]: salamander_obs::live::Broadcast::poll_after
 
 use salamander_obs::{
     trace::to_jsonl, ClusterRollup, FleetRollup, LatencyRollup, LiveObs, Rollup, EXPOSURE_STATS,
@@ -38,7 +40,7 @@ use salamander_obs::{
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -60,6 +62,13 @@ const MAX_HEADER_BYTES: usize = 16 * 1024;
 /// so closing the socket does not reset the connection before the
 /// refusal reaches the peer.
 const DRAIN_LIMIT: u64 = 2 << 20;
+/// Most connection handlers alive at once. Past it the accept thread
+/// answers `503` itself and spawns nothing, so a flood of connections
+/// cannot exhaust the host's threads.
+const MAX_CONNECTIONS: usize = 64;
+/// How long the accept thread may block writing a `503`, so a peer
+/// that never reads cannot stall it.
+const BUSY_WRITE_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Run label → (published rollups of one family, pre-serialized JSON
 /// array of the publisher's anomalies). The snapshot and `/…/series`
@@ -438,15 +447,16 @@ pub struct TelemetryServer {
 
 impl TelemetryServer {
     /// Bind `addr` and start serving `hub` on a background accept
-    /// thread (one short-lived thread per connection). Returns after
-    /// the socket is bound, so the endpoints are reachable before the
-    /// simulation starts.
+    /// thread (one short-lived thread per connection, at most
+    /// `MAX_CONNECTIONS` at once). Returns after the socket is bound,
+    /// so the endpoints are reachable before the simulation starts.
     pub fn start(addr: &str, hub: Arc<TelemetryHub>) -> std::io::Result<TelemetryServer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let accept_hub = hub.clone();
         let accept_stop = stop.clone();
+        let handlers = Arc::new(AtomicUsize::new(0));
         let accept_thread = std::thread::Builder::new()
             .name("telemetry-accept".into())
             .spawn(move || {
@@ -455,10 +465,22 @@ impl TelemetryServer {
                         break;
                     }
                     let Ok(stream) = conn else { continue };
+                    // Take the slot before the spawn; the handler's
+                    // guard (or the dropped closure, if the spawn
+                    // fails) gives it back.
+                    let slot = HandlerSlot::take(&handlers);
+                    if handlers.load(Ordering::SeqCst) > MAX_CONNECTIONS {
+                        drop(slot);
+                        turn_away(stream);
+                        continue;
+                    }
                     let hub = accept_hub.clone();
                     let _ = std::thread::Builder::new()
                         .name("telemetry-conn".into())
-                        .spawn(move || handle_connection(stream, &hub));
+                        .spawn(move || {
+                            let _slot = slot;
+                            handle_connection(stream, &hub)
+                        });
                 }
             })?;
         Ok(TelemetryServer {
@@ -499,6 +521,36 @@ impl Drop for TelemetryServer {
             let _ = t.join();
         }
     }
+}
+
+/// One live connection handler, counted in the shared total until
+/// dropped.
+struct HandlerSlot(Arc<AtomicUsize>);
+
+impl HandlerSlot {
+    fn take(count: &Arc<AtomicUsize>) -> Self {
+        count.fetch_add(1, Ordering::SeqCst);
+        HandlerSlot(count.clone())
+    }
+}
+
+impl Drop for HandlerSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Answer a connection past `MAX_CONNECTIONS` with a `503` (written
+/// under [`BUSY_WRITE_TIMEOUT`]) and close it unread.
+fn turn_away(mut stream: TcpStream) {
+    let _ = stream.set_write_timeout(Some(BUSY_WRITE_TIMEOUT));
+    respond(
+        &mut stream,
+        503,
+        "text/plain",
+        "too many connections\n",
+        &[],
+    );
 }
 
 /// One request per connection (`Connection: close`); anything
@@ -683,6 +735,7 @@ fn respond(out: &mut TcpStream, status: u16, content_type: &str, body: &str, ext
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        503 => "Service Unavailable",
         _ => "Error",
     };
     let mut head = format!(
@@ -1155,6 +1208,46 @@ mod tests {
         let (status, _, body) = http_get(server.addr(), "/healthz").unwrap();
         assert_eq!(status, 200);
         assert!(body.contains("\"status\":\"ok\""), "{body}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn connections_past_the_limit_get_503_then_service_resumes() {
+        let (server, _hub) = start();
+        // Idle sockets each hold a handler (blocked on the request
+        // line) until dropped; accept order is connect order, so every
+        // slot is taken before the next connection is accepted.
+        let idle: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| TcpStream::connect(server.addr()).unwrap())
+            .collect();
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let _ = s.write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
+        // The request goes unread, so the close may reset the socket
+        // after the 503: keep what arrived before the error.
+        let mut resp = Vec::new();
+        let mut buf = [0u8; 512];
+        while let Ok(n @ 1..) = s.read(&mut buf) {
+            resp.extend_from_slice(&buf[..n]);
+        }
+        let resp = String::from_utf8_lossy(&resp);
+        assert!(
+            resp.starts_with("HTTP/1.1 503 Service Unavailable"),
+            "{resp}"
+        );
+        assert!(resp.ends_with("\r\n\r\ntoo many connections\n"), "{resp}");
+        // Closing the idle sockets frees their handlers.
+        drop(idle);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let status = loop {
+            // A handler not yet gone may still turn this one away.
+            let status = http_get(server.addr(), "/healthz").map_or(0, |r| r.0);
+            if status == 200 || std::time::Instant::now() > deadline {
+                break status;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        assert_eq!(status, 200);
         server.shutdown();
     }
 }

@@ -5,7 +5,7 @@
 # refreshes BENCH_ftl_micro.json / BENCH_lifetime.json /
 # BENCH_fleet_scale.json at the repo root. The refresh passes
 # --fleet-full so the committed fleet report always carries the 100k
-# legacy reference and the 1M entries (minutes of wall clock).
+# mode sweep and the 1M entries (minutes of wall clock).
 #
 # Usage: scripts/bench.sh [--check] [--runs N]
 #   --check   compare fresh medians against the committed

@@ -31,6 +31,9 @@ run() {
 
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
+# Doc links must resolve: a deleted or renamed item cannot leave a
+# dangling intra-doc link behind.
+RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps --offline
 
 # Library crates must not print: structured output goes through
 # salamander-obs (DESIGN.md §9), and the telemetry server answers over
